@@ -5,8 +5,8 @@
 //
 //	go test -bench=. -benchmem
 //
-// and see cmd/experiments for the same artifacts rendered as the
-// paper's tables, plus EXPERIMENTS.md for a measured-vs-paper index.
+// and `go run ./cmd/experiments` for the same artifacts rendered as the
+// paper's tables.
 //
 // (External test package: the serving benchmarks import
 // internal/server, which itself imports ncexplorer.)
@@ -261,6 +261,7 @@ func BenchmarkServerRollUp(b *testing.B) {
 	body, err := json.Marshal(map[string]any{
 		"concepts": []string{topics[0][0], topics[0][1]},
 		"k":        10,
+		"explain":  true,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -268,7 +269,7 @@ func BenchmarkServerRollUp(b *testing.B) {
 	run := func(b *testing.B, s *server.Server) {
 		h := s.Handler()
 		for i := 0; i < b.N; i++ {
-			req := httptest.NewRequest(http.MethodPost, "/v1/rollup", bytes.NewReader(body))
+			req := httptest.NewRequest(http.MethodPost, "/v2/query/rollup", bytes.NewReader(body))
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, req)
 			if rec.Code != http.StatusOK {
@@ -281,7 +282,7 @@ func BenchmarkServerRollUp(b *testing.B) {
 	})
 	b.Run("cached", func(b *testing.B) {
 		s := server.New(x, server.Options{})
-		req := httptest.NewRequest(http.MethodPost, "/v1/rollup", bytes.NewReader(body))
+		req := httptest.NewRequest(http.MethodPost, "/v2/query/rollup", bytes.NewReader(body))
 		s.Handler().ServeHTTP(httptest.NewRecorder(), req) // warm the cache
 		b.ResetTimer()
 		run(b, s)

@@ -1,6 +1,6 @@
 // Command experiments regenerates every table and figure of the
 // paper's evaluation (§IV) on the synthetic world and prints them in
-// the paper's layout. EXPERIMENTS.md records one such run next to the
+// the paper's layout, so a run can be read side by side with the
 // paper's numbers.
 //
 // Usage:

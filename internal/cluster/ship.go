@@ -81,7 +81,7 @@ func (f *Fetcher) client() *http.Client {
 // file is verified on disk.
 func (f *Fetcher) Sync(ctx context.Context) (*segio.Manifest, bool, error) {
 	f.manifestPolls.Add(1)
-	raw, err := f.get(ctx, "/internal/manifest", "")
+	raw, err := f.get(ctx, "/internal/manifest")
 	if err != nil {
 		return nil, false, err
 	}
@@ -201,20 +201,17 @@ func (f *Fetcher) fetchFile(ctx context.Context, name string, want uint32) error
 }
 
 // get issues one GET and returns the full body (200 only).
-func (f *Fetcher) get(ctx context.Context, path, rangeHeader string) ([]byte, error) {
+func (f *Fetcher) get(ctx context.Context, path string) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.BaseURL+path, nil)
 	if err != nil {
 		return nil, err
-	}
-	if rangeHeader != "" {
-		req.Header.Set("Range", rangeHeader)
 	}
 	resp, err := f.client().Do(req)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusPartialContent {
+	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, resp.Body)
 		return nil, fmt.Errorf("cluster: GET %s: %s", path, resp.Status)
 	}

@@ -268,10 +268,13 @@ type Engine struct {
 
 	// gc is the group-commit checkpoint writer: commits enqueue their
 	// state here and the encode+fsync happen off the commit path (see
-	// groupcommit.go). syncPersist restores the legacy behavior of
-	// blocking each Ingest until its checkpoint attempt completed.
-	gc          groupCommit
-	syncPersist atomic.Bool
+	// groupcommit.go).
+	gc groupCommit
+	// syncPersist makes each commit write its checkpoint before
+	// returning instead of enqueueing it. Test seam only, set before
+	// the first ingest: it pins a deterministic checkpoint schedule
+	// (no background merge can coalesce over a batch's unwritten job).
+	syncPersist bool
 
 	// candPool pools the per-worker candidate-concept enumeration
 	// scratch (stamp marks sized by the graph); planPool pools the

@@ -173,15 +173,15 @@ func (e *Engine) persistJobLocked(st *genState) (*persistJob, uint64) {
 }
 
 // enqueueCheckpointLocked hands the committed state to the group-commit
-// writer and returns the sequence to wait on for durability. With
-// SetSyncPersist(true) the write happens before returning instead (the
-// pre-pipeline behavior). ingestMu held.
+// writer and returns the sequence to wait on for durability. With the
+// syncPersist test seam set the write happens before returning
+// instead. ingestMu held.
 func (e *Engine) enqueueCheckpointLocked(st *genState) uint64 {
 	job, seq := e.persistJobLocked(st)
 	if job == nil {
 		return seq
 	}
-	if e.syncPersist.Load() {
+	if e.syncPersist {
 		e.writeCheckpoint(job)
 		return seq
 	}
@@ -308,9 +308,3 @@ func (gc *groupCommit) waitDone(seq uint64) {
 	}
 	gc.mu.Unlock()
 }
-
-// SetSyncPersist toggles pipelined checkpointing off (true): every
-// commit then blocks until its checkpoint attempt finished, restoring
-// the pre-pipeline latency profile. Benchmarks use it to measure the
-// overlap; deployments can set it via ncserver -ingest-pipeline=false.
-func (e *Engine) SetSyncPersist(on bool) { e.syncPersist.Store(on) }

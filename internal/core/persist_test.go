@@ -242,7 +242,7 @@ func TestDeltaCheckpointAfterMerge(t *testing.T) {
 	dir := t.TempDir()
 	e := NewEngine(g, Options{Seed: 11, Samples: 20, MaxSegments: 2})
 	e.IndexCorpus(c)
-	e.SetSyncPersist(true)
+	e.syncPersist = true
 	e.SetCheckpointDir(dir, nil)
 	for i := 0; i < 4; i++ {
 		if _, err := e.Ingest(context.Background(), ingestBatch(t, 8400+uint64(i), 5)); err != nil {

@@ -36,8 +36,8 @@ type EvaluatorPool struct {
 	// SurfaceSlope adds surface share proportional to the surface match
 	// itself (default 0.7; a perfect keyword match is judged
 	// 0.08+0.7 = 78% by its keywords). The strength is calibrated so
-	// that the Table-II directions of the paper emerge: see
-	// EXPERIMENTS.md.
+	// that the Table-II directions of the paper emerge: run
+	// `go run ./cmd/experiments -only tableII` to see them.
 	SurfaceSlope float64
 	// SurfaceCeiling bounds how far keyword confidence can lift a
 	// rating above the document's true semantic relevance (default
@@ -49,8 +49,8 @@ type EvaluatorPool struct {
 	// specialist vocabulary: raters "express uncertainty about
 	// specialized terms such as takeover" and award only partial credit
 	// when the query's surface words are absent. 1.0 (the default)
-	// disables the discount; the harness exposes it as an ablation
-	// knob — see EXPERIMENTS.md for its measured effect.
+	// disables the discount; it is an ablation knob for harness
+	// callers (`go run ./cmd/experiments` runs with the default).
 	Familiarity float64
 	// Noise is the per-rating Gaussian error std-dev (default 0.4).
 	Noise float64

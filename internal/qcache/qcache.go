@@ -15,7 +15,9 @@
 //     its result.
 //
 // Keys are opaque strings; callers are responsible for canonicalizing
-// them (see ncexplorer.QueryKey). Values are opaque too — the HTTP
+// them — KeyBuilder (key.go) is the one encoding the query layer uses,
+// via ncexplorer.RollUpRequest.Key and DrillDownRequest.Key. Values
+// are opaque too — the HTTP
 // layer stores fully marshaled JSON bodies so cache hits are
 // byte-identical to the miss that populated them.
 //

@@ -68,15 +68,12 @@ func TestIngestEndpoint(t *testing.T) {
 	tp := x.EvaluationTopics()[0]
 	query := map[string]any{"concepts": []string{tp[0]}, "k": 3}
 
-	// Warm the v1 and v2 caches.
-	for _, path := range []string{"/v1/rollup", "/v2/query/rollup"} {
-		if rec := serve(t, s, http.MethodPost, path, query); rec.Code != 200 {
-			t.Fatalf("%s warmup: %d %s", path, rec.Code, rec.Body.String())
-		}
-		rec := serve(t, s, http.MethodPost, path, query)
-		if rec.Header().Get("X-Cache") != "HIT" {
-			t.Fatalf("%s second call should HIT, got %s", path, rec.Header().Get("X-Cache"))
-		}
+	// Warm the cache.
+	if rec := serve(t, s, http.MethodPost, "/v2/query/rollup", query); rec.Code != 200 {
+		t.Fatalf("warmup: %d %s", rec.Code, rec.Body.String())
+	}
+	if rec := serve(t, s, http.MethodPost, "/v2/query/rollup", query); rec.Header().Get("X-Cache") != "HIT" {
+		t.Fatalf("second call should HIT, got %s", rec.Header().Get("X-Cache"))
 	}
 
 	arts, err := x.SampleArticles(777, 9)
@@ -93,18 +90,15 @@ func TestIngestEndpoint(t *testing.T) {
 		t.Fatalf("ingest result = %+v", res)
 	}
 
-	// The retained pre-ingest bodies must now be unreachable.
-	for _, path := range []string{"/v1/rollup", "/v2/query/rollup"} {
-		rec := serve(t, s, http.MethodPost, path, query)
-		if rec.Code != 200 {
-			t.Fatalf("%s post-ingest: %d", path, rec.Code)
-		}
-		if got := rec.Header().Get("X-Cache"); got != "MISS" {
-			t.Fatalf("%s after ingest served %s, want MISS (stale cache)", path, got)
-		}
+	// The retained pre-ingest body must now be unreachable.
+	rec = serve(t, s, http.MethodPost, "/v2/query/rollup", query)
+	if rec.Code != 200 {
+		t.Fatalf("post-ingest: %d", rec.Code)
+	}
+	if got := rec.Header().Get("X-Cache"); got != "MISS" {
+		t.Fatalf("after ingest served %s, want MISS (stale cache)", got)
 	}
 	var v2 ncexplorer.RollUpResult
-	rec = serve(t, s, http.MethodPost, "/v2/query/rollup", query)
 	decodeBody(t, rec, &v2)
 	if v2.Generation != 2 {
 		t.Fatalf("post-ingest query served at generation %d, want 2", v2.Generation)
@@ -165,15 +159,15 @@ func TestResetQueryCachesInvalidatesServerCache(t *testing.T) {
 	tp := x.EvaluationTopics()[1]
 	query := map[string]any{"concepts": []string{tp[0], tp[1]}, "k": 4}
 
-	first := serve(t, s, http.MethodPost, "/v1/rollup", query)
+	first := serve(t, s, http.MethodPost, "/v2/query/rollup", query)
 	if first.Code != 200 {
 		t.Fatalf("warmup: %d", first.Code)
 	}
-	if rec := serve(t, s, http.MethodPost, "/v1/rollup", query); rec.Header().Get("X-Cache") != "HIT" {
+	if rec := serve(t, s, http.MethodPost, "/v2/query/rollup", query); rec.Header().Get("X-Cache") != "HIT" {
 		t.Fatal("second call should HIT")
 	}
 	x.ResetQueryCaches()
-	rec := serve(t, s, http.MethodPost, "/v1/rollup", query)
+	rec := serve(t, s, http.MethodPost, "/v2/query/rollup", query)
 	if got := rec.Header().Get("X-Cache"); got != "MISS" {
 		t.Fatalf("after ResetQueryCaches served %s, want MISS", got)
 	}

@@ -5,15 +5,16 @@
 //
 // Endpoints:
 //
-//	POST /v1/rollup               {"concepts": [...], "k": 10} → ranked articles
-//	POST /v1/drilldown            {"concepts": [...], "k": 10} → ranked subtopics
 //	GET  /v1/concepts/{entity}    roll-up options for an entity
 //	GET  /v1/broader/{concept}    the next roll-up level
 //	GET  /v1/keywords/{concept}   amplified keyword list (?n=10)
 //	GET  /v1/topics               the paper's six evaluation queries
-//	POST /v2/query/rollup         typed request: pagination (offset),
-//	                              source/min-score filters, explain toggle
-//	POST /v2/query/drilldown      typed drill-down request
+//	POST /v2/query/rollup         {"concepts": [...], "k": 10} → ranked
+//	                              articles; pagination (offset),
+//	                              source/min-score filters, time range,
+//	                              group_by, explain toggle
+//	POST /v2/query/drilldown      typed drill-down request → ranked
+//	                              subtopic suggestions
 //	POST /v2/batch                N typed queries in one POST, executed
 //	                              under the engine's bounded parallelism
 //	POST /v2/ingest               live ingestion: index a batch of raw
@@ -38,27 +39,26 @@
 //	                              counters
 //
 // Roll-up and drill-down responses are served through a sharded LRU
-// cache (internal/qcache) keyed by the canonicalized concept set and
-// k, scoped to the explorer's query epoch: the marshaled JSON body
-// itself is cached, so a hit is byte-identical to the miss that
-// populated it, and concurrent identical queries are coalesced into
-// one engine call. When an ingest (or a cache reset) changes what
-// queries return, the epoch advances and every retained body becomes
-// unreachable by key — generation-tagged invalidation instead of a
-// stop-the-world flush. The X-Cache response header reports HIT or
-// MISS per request.
+// cache (internal/qcache) keyed by the typed request's canonical key
+// (RollUpRequest.Key / DrillDownRequest.Key), scoped to the explorer's
+// query epoch: the marshaled JSON body itself is cached, so a hit is
+// byte-identical to the miss that populated it, and concurrent
+// identical queries are coalesced into one engine call. When an ingest
+// (or a cache reset) changes what queries return, the epoch advances
+// and every retained body becomes unreachable by key —
+// generation-tagged invalidation instead of a stop-the-world flush.
+// The X-Cache response header reports HIT or MISS per request.
 //
-// Errors are JSON too. The /v1 routes keep their original flat shape
-// {"error": "..."} byte-for-byte; every /v2 route shares the
-// structured envelope {"error": {"code", "message", "details"}} with
-// typed codes (unknown_concept errors carry nearest-concept
-// suggestions in details.suggestions). See DESIGN.md §5 for the
-// versioning contract.
+// Errors are JSON too. The GET /v1 routes and unknown non-/v2 paths
+// keep the original flat shape {"error": "..."} byte-for-byte; every
+// /v2 route shares the structured envelope {"error": {"code",
+// "message", "details"}} with typed codes (unknown_concept errors
+// carry nearest-concept suggestions in details.suggestions). See
+// DESIGN.md §5 for the versioning contract.
 package server
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -141,9 +141,9 @@ const defaultK = 10
 // display order; "other" counts unknown paths and wrong-method
 // requests.
 var routes = []string{
-	"rollup", "drilldown", "concepts", "broader", "keywords",
-	"topics", "v2rollup", "v2drilldown", "v2batch", "v2sessions",
-	"v2ingest", "v2watchlists", "internal", "healthz", "statsz", "other",
+	"concepts", "broader", "keywords", "topics", "v2rollup", "v2drilldown",
+	"v2batch", "v2sessions", "v2ingest", "v2watchlists", "internal",
+	"healthz", "statsz", "other",
 }
 
 // Server is the HTTP serving layer over an Explorer. Safe for
@@ -264,8 +264,6 @@ func New(x *ncexplorer.Explorer, opts Options) *Server {
 		s.byRoute[r] = new(atomic.Int64)
 	}
 	s.registerInternal()
-	s.mux.HandleFunc("POST /v1/rollup", s.counted("rollup", s.handleRollUp))
-	s.mux.HandleFunc("POST /v1/drilldown", s.counted("drilldown", s.handleDrillDown))
 	s.mux.HandleFunc("GET /v1/concepts/{entity}", s.counted("concepts", s.handleConcepts))
 	s.mux.HandleFunc("GET /v1/broader/{concept}", s.counted("broader", s.handleBroader))
 	s.mux.HandleFunc("GET /v1/keywords/{concept}", s.counted("keywords", s.handleKeywords))
@@ -300,8 +298,6 @@ func New(x *ncexplorer.Explorer, opts Options) *Server {
 	// unknown-path responses are JSON and counted like everything
 	// else rather than ServeMux's plain-text defaults.
 	for pattern, allow := range map[string]string{
-		"/v1/rollup":             "POST",
-		"/v1/drilldown":          "POST",
 		"/v1/concepts/{entity}":  "GET",
 		"/v1/broader/{concept}":  "GET",
 		"/v1/keywords/{concept}": "GET",
@@ -420,57 +416,9 @@ func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 	s.writeBody(w, status, body)
 }
 
-// queryRequest is the body of the two POST query endpoints.
-type queryRequest struct {
-	Concepts []string `json:"concepts"`
-	K        int      `json:"k"`
-}
-
 // maxBodyBytes bounds query request bodies; concept queries are a few
 // names, so 1 MiB is generous.
 const maxBodyBytes = 1 << 20
-
-// decodeQuery parses and validates a query body, returning the
-// canonicalized concept set and clamped k.
-func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) ([]string, int, bool) {
-	var req queryRequest
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			s.writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
-			return nil, 0, false
-		}
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("malformed request body: %w", err))
-		return nil, 0, false
-	}
-	concepts := ncexplorer.CanonicalConcepts(req.Concepts)
-	if len(concepts) == 0 {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("empty concept query"))
-		return nil, 0, false
-	}
-	k := req.K
-	if k < 0 {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("invalid k %d: want a positive integer", k))
-		return nil, 0, false
-	}
-	if k == 0 { // absent from the body
-		k = defaultK
-	}
-	if k > s.opts.MaxK {
-		k = s.opts.MaxK
-	}
-	return concepts, k, true
-}
-
-// clientError marks a fill failure caused by the request (unknown
-// concept, invalid query) rather than by the server; serveCached maps
-// it to 400 and everything else to 500.
-type clientError struct{ err error }
-
-func (e clientError) Error() string { return e.err.Error() }
-func (e clientError) Unwrap() error { return e.err }
 
 // epochKey scopes a result-cache key to the explorer's current query
 // epoch. The epoch advances on every ingested batch and every
@@ -482,77 +430,6 @@ func (e clientError) Unwrap() error { return e.err }
 func (s *Server) epochKey(key string) string {
 	return "w" + strconv.FormatUint(s.swapSeq.Load(), 36) +
 		"e" + strconv.FormatUint(s.explorer().QueryEpoch(), 36) + "|" + key
-}
-
-// serveCached answers a query endpoint through the result cache: on a
-// miss, fill runs the engine and the marshaled body is retained so
-// every later hit is byte-identical. Keys are epoch-scoped (see
-// epochKey).
-func (s *Server) serveCached(w http.ResponseWriter, key string, fill func() (any, error)) {
-	v, hit, err := s.cache.Do(s.epochKey(key), fill)
-	if err != nil {
-		var ce clientError
-		if errors.As(err, &ce) {
-			s.writeError(w, http.StatusBadRequest, ce.err)
-		} else {
-			s.writeError(w, http.StatusInternalServerError, err)
-		}
-		return
-	}
-	if hit {
-		w.Header().Set("X-Cache", "HIT")
-	} else {
-		w.Header().Set("X-Cache", "MISS")
-	}
-	s.writeBody(w, http.StatusOK, v.([]byte))
-}
-
-type rollUpResponse struct {
-	Query    []string             `json:"query"`
-	K        int                  `json:"k"`
-	Count    int                  `json:"count"`
-	Articles []ncexplorer.Article `json:"articles"`
-}
-
-func (s *Server) handleRollUp(w http.ResponseWriter, r *http.Request) {
-	concepts, k, ok := s.decodeQuery(w, r)
-	if !ok {
-		return
-	}
-	s.serveCached(w, ncexplorer.QueryKey("rollup", concepts, k), func() (any, error) {
-		articles, err := s.explorer().RollUp(concepts, k)
-		if err != nil {
-			return nil, clientError{err}
-		}
-		if articles == nil {
-			articles = []ncexplorer.Article{}
-		}
-		return json.Marshal(rollUpResponse{Query: concepts, K: k, Count: len(articles), Articles: articles})
-	})
-}
-
-type drillDownResponse struct {
-	Query       []string                        `json:"query"`
-	K           int                             `json:"k"`
-	Count       int                             `json:"count"`
-	Suggestions []ncexplorer.SubtopicSuggestion `json:"suggestions"`
-}
-
-func (s *Server) handleDrillDown(w http.ResponseWriter, r *http.Request) {
-	concepts, k, ok := s.decodeQuery(w, r)
-	if !ok {
-		return
-	}
-	s.serveCached(w, ncexplorer.QueryKey("drilldown", concepts, k), func() (any, error) {
-		subs, err := s.explorer().DrillDown(concepts, k)
-		if err != nil {
-			return nil, clientError{err}
-		}
-		if subs == nil {
-			subs = []ncexplorer.SubtopicSuggestion{}
-		}
-		return json.Marshal(drillDownResponse{Query: concepts, K: k, Count: len(subs), Suggestions: subs})
-	})
 }
 
 func (s *Server) handleConcepts(w http.ResponseWriter, r *http.Request) {

@@ -1,13 +1,14 @@
-// v2: the typed query surface. Where /v1 exposes fixed-shape one-shot
-// calls, /v2 speaks typed requests (pagination, source and score
-// filters, explanation toggles), executes batches under the engine's
-// bounded parallelism, and shares one structured error envelope:
+// v2: the typed query surface. Roll-up and drill-down are served only
+// here: typed requests (pagination, source and score filters, time
+// ranges, explanation toggles), batches executed under the engine's
+// bounded parallelism, and one structured error envelope:
 //
 //	{"error": {"code": "...", "message": "...", "details": {...}}}
 //
 // with machine-readable codes (unknown_concept errors carry
-// nearest-concept suggestions in details). /v1 responses are untouched
-// — byte-compatibility there is a hard contract (see DESIGN.md §5).
+// nearest-concept suggestions in details). The remaining GET /v1
+// routes keep their flat error shape — byte-compatibility there is a
+// hard contract (see DESIGN.md §5).
 package server
 
 import (
@@ -134,8 +135,8 @@ type v2QueryRequest struct {
 }
 
 // normalizeV2 applies the HTTP-layer page-size conventions: an absent
-// k (0) means the default page size, matching /v1, and k is clamped
-// to MaxK. Everything that can be *invalid* (negative k, offset or
+// k (0) means the default page size, and k is clamped to MaxK.
+// Everything that can be *invalid* (negative k, offset or
 // min_score, empty or unknown concepts, unknown sources) is left to
 // the facade, whose typed errors map onto the envelope — one
 // validation rulebook instead of two that drift.

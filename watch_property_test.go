@@ -418,3 +418,75 @@ func jsonEqual(t testing.TB, a, b any) bool {
 	}
 	return bytes.Equal(ja, jb)
 }
+
+// TestWatchWindowThreshold pins the "≥N matches in D days" burst
+// semantics of WindowCount/WindowDays: the list stays silent below N
+// in-window matches, fires on the batch carrying the N-th, and a match
+// published more than D days before the latest match does not count —
+// the clock is publication time, so a backfilled article can fall
+// outside the window even when it arrives last.
+func TestWatchWindowThreshold(t *testing.T) {
+	x, err := New(Config{Scale: "tiny", Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	concept := popularConcepts(t, x, 1)
+	// Every ingested copy reuses the text of a seed article that matches
+	// the concept, so each batch carries exactly one match; an unwindowed
+	// control list confirms that per batch.
+	res, err := x.RollUpQuery(context.Background(), RollUpRequest{Concepts: concept, K: 1})
+	if err != nil || len(res.Articles) == 0 {
+		t.Fatalf("no matching seed article: %v", err)
+	}
+	tmpl := res.Articles[0]
+	control, err := x.RegisterWatchlist(WatchlistSpec{Name: "control", Concepts: concept})
+	if err != nil {
+		t.Fatal(err)
+	}
+	burst, err := x.RegisterWatchlist(WatchlistSpec{
+		Name: "burst", Concepts: concept, WindowCount: 3, WindowDays: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	base := time.Date(2023, 9, 4, 8, 0, 0, 0, time.UTC)
+	alertCount := func(id string) int {
+		alerts, _, err := x.WatchReplay(id, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(alerts)
+	}
+	steps := []struct {
+		day       int // publication day relative to base
+		wantBurst int // cumulative burst alerts after the batch
+		why       string
+	}{
+		{0, 0, "1 in-window match, below N=3"},
+		{1, 0, "2 in-window matches, below N=3"},
+		{2, 1, "the 3rd match within 7 days fires"},
+		{20, 1, "days 0–2 are more than 7 days before day 20: 1 in window"},
+		{21, 1, "2 in-window matches"},
+		{5, 1, "backfilled day-5 match is more than 7 days before day 21: still 2"},
+		{22, 2, "days 20, 21, 22: the 3rd in-window match fires"},
+	}
+	for i, st := range steps {
+		art := IngestArticle{
+			Source:      tmpl.Source,
+			Title:       tmpl.Title,
+			Body:        tmpl.Body,
+			PublishedAt: base.AddDate(0, 0, st.day).Format(time.RFC3339),
+		}
+		if _, err := x.Ingest(context.Background(), []IngestArticle{art}); err != nil {
+			t.Fatal(err)
+		}
+		if got := alertCount(control.ID); got != i+1 {
+			t.Fatalf("step %d: control list has %d alerts, want %d — the copy did not match", i, got, i+1)
+		}
+		if got := alertCount(burst.ID); got != st.wantBurst {
+			t.Fatalf("step %d (day %d): burst list has %d alerts, want %d: %s",
+				i, st.day, got, st.wantBurst, st.why)
+		}
+	}
+}
