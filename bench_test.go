@@ -127,7 +127,7 @@ func BenchmarkFig6ContextRelevance(b *testing.B) {
 }
 
 // BenchmarkFig7Sampling regenerates Fig. 7 (E7): random-walk estimator
-// convergence with and without the reachability index.
+// convergence with and without reachability guidance.
 func BenchmarkFig7Sampling(b *testing.B) {
 	w := defaultWorld(b)
 	b.ResetTimer()
@@ -152,8 +152,9 @@ func BenchmarkFig8Ablation(b *testing.B) {
 	}
 }
 
-// BenchmarkReachIndexBuild regenerates the §IV-A2 reachability-index
-// construction measurement (E9) at this repository's scale.
+// BenchmarkReachIndexBuild regenerates E9, the stand-in for the §IV-A2
+// reachability-index construction: the cost of filling τ-hop balls on
+// demand at this repository's scale.
 func BenchmarkReachIndexBuild(b *testing.B) {
 	w := defaultWorld(b)
 	b.ResetTimer()
@@ -213,8 +214,8 @@ func BenchmarkDrillDownQuery(b *testing.B) {
 // the trade the paper's §III-C estimator exists to win.
 func BenchmarkAblationExactVsSampledConn(b *testing.B) {
 	w := defaultWorld(b)
-	exact := relevance.NewScorer(w.G, w.Engine, nil, relevance.Options{Exact: true, MaxExtent: 300})
-	sampled := relevance.NewScorer(w.G, w.Engine, nil, relevance.Options{Samples: 50, MaxExtent: 300})
+	exact := relevance.NewScorer(w.G, w.Engine, false, relevance.Options{Exact: true, MaxExtent: 300})
+	sampled := relevance.NewScorer(w.G, w.Engine, false, relevance.Options{Samples: 50, MaxExtent: 300})
 	topic := w.Meta.Topics[0]
 	doc := int32(w.Engine.MatchedDocs(core.Query{topic.Concept})[0])
 	rnd := w.QueryRand(1)

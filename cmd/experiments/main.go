@@ -96,7 +96,7 @@ func main() {
 		fmt.Println(harness.FormatFig8(w.Fig8()))
 	}
 	if enabled("reach") {
-		section("E9 · Reachability index construction (§IV-A2)")
+		section("E9 · Reachability guidance cost: on-demand τ-hop balls (§IV-A2)")
 		fmt.Println(harness.FormatReachBuild(w.ReachIndexBuild(500)))
 	}
 	if enabled("gptdirect") {

@@ -17,6 +17,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
@@ -245,13 +246,19 @@ func (f *Fetcher) getFile(ctx context.Context, path string, from int64) ([]byte,
 	if err != nil {
 		// Keep what arrived so the next attempt resumes instead of
 		// refetching; the checksum gate makes a stale prefix harmless.
+		// A partial file that cannot be written whole is removed, so
+		// the next attempt starts over rather than resuming from it.
 		if len(body) > 0 {
+			part := filepath.Join(f.Dir, filepath.Base(path)) + ".part"
 			all := body
 			if resp.StatusCode == http.StatusPartialContent {
-				prefix, _ := os.ReadFile(filepath.Join(f.Dir, filepath.Base(path)) + ".part")
+				prefix, _ := os.ReadFile(part)
 				all = append(append([]byte(nil), prefix...), body...)
 			}
-			os.WriteFile(filepath.Join(f.Dir, filepath.Base(path))+".part", all, 0o644)
+			if werr := os.WriteFile(part, all, 0o644); werr != nil {
+				os.Remove(part)
+				return nil, false, errors.Join(err, werr)
+			}
 		}
 		return nil, false, err
 	}

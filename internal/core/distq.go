@@ -172,8 +172,9 @@ type DiversityPartial struct {
 
 // DiversityPartials computes this shard's diversity sets for query q
 // and the given shortlist concepts — phase two of a distributed
-// drill-down. Membership is against the *direct* extent Ψ(c), exactly
-// as DrillDownPage counts it; the union across shards (deduplicated by
+// drill-down. Membership is against the *direct* extent Ψ(c), over the
+// matched documents that keep c as a candidate, exactly as
+// DrillDownPage counts it; the union across shards (deduplicated by
 // the merger — sets from different shards may overlap) has the same
 // cardinality a monolithic engine's union would. A non-nil tr
 // restricts membership to documents inside the window, matching the
@@ -200,6 +201,22 @@ func (e *Engine) DiversityPartials(ctx context.Context, q Query, concepts []kg.N
 		}
 		docs = kept
 	}
+	// Each concept's union runs over the documents that keep it as a
+	// candidate, exactly the documents DrillDownPage chains into it: a
+	// document can hold an entity of Ψ(c) without keeping c (the
+	// per-document concept cap), and counting it would inflate c's
+	// diversity.
+	byConcept := make(map[kg.NodeID][]int32, len(concepts))
+	for _, c := range concepts {
+		byConcept[c] = nil
+	}
+	for _, d := range docs {
+		for _, cs := range st.docConcepts(d) {
+			if list, ok := byConcept[cs.Concept]; ok {
+				byConcept[cs.Concept] = append(list, d)
+			}
+		}
+	}
 	ds := e.divPool.Get().(*divScratch)
 	defer e.divPool.Put(ds)
 	for i, c := range concepts {
@@ -211,7 +228,7 @@ func (e *Engine) DiversityPartials(ctx context.Context, q Query, concepts []kg.N
 			ds.stamp[v] = seen
 		}
 		var set []kg.NodeID
-		for _, d := range docs {
+		for _, d := range byConcept[c] {
 			for _, v := range st.ents[d] {
 				if ds.stamp[v] == seen {
 					ds.stamp[v] = counted

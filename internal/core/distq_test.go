@@ -14,10 +14,24 @@ import (
 // contract at the engine level: over two shards grown by a randomized
 // ingest schedule, MergeRollUpPages and MergeDrillDown must reproduce
 // the monolithic pages byte-for-byte across a K/offset/filter grid at
-// every generation.
+// every generation. The second option set caps the concepts kept per
+// document so the cap bites: a document can then hold an entity of
+// Ψ(c) without keeping c, and the shards' diversity sets must leave it
+// out of c's union exactly as DrillDownPage does.
 func TestDistributedMergeMatchesMonolithic(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"default", Options{Seed: 11, Samples: 20, MaxSegments: 2}},
+		{"concept cap", Options{Seed: 11, Samples: 20, MaxSegments: 2, MaxConceptsPerDoc: 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testDistributedMerge(t, tc.opts) })
+	}
+}
+
+func testDistributedMerge(t *testing.T, opts Options) {
 	g, meta, c, _ := world(t)
-	opts := Options{Seed: 11, Samples: 20, MaxSegments: 2}
 	const nShards = 2
 	shards := make([]*Engine, nShards)
 	for s := range shards {

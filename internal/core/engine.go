@@ -40,7 +40,6 @@ import (
 	"ncexplorer/internal/corpus"
 	"ncexplorer/internal/kg"
 	"ncexplorer/internal/nlp"
-	"ncexplorer/internal/reach"
 	"ncexplorer/internal/relevance"
 	"ncexplorer/internal/shardmap"
 	"ncexplorer/internal/snapshot"
@@ -72,8 +71,6 @@ type Options struct {
 	// Exact computes connectivity exactly instead of sampling (tests
 	// and ablations).
 	Exact bool
-	// ReachCache bounds the reachability index's resident tables.
-	ReachCache int
 	// Now supplies the wall clock used to default a missing PublishedAt
 	// on ingested articles (the seam tests inject to pin defaulted
 	// timestamps). Never part of persisted engine metadata: the clock
@@ -201,10 +198,9 @@ const cdrStreamSalt = 0x9e3779b97f4a7c15
 // regardless of interleaving because every on-demand sample stream is
 // seeded by its (concept, document) key alone.
 type Engine struct {
-	g       *kg.Graph
-	opts    Options
-	linker  *nlp.Linker
-	reachIx *reach.Index
+	g      *kg.Graph
+	opts   Options
+	linker *nlp.Linker
 
 	// maxInstDeg is Δ, the maximum instance degree of the graph —
 	// the walk branching bound behind the planner's cdrc ceilings.
@@ -401,9 +397,6 @@ func NewEngine(g *kg.Graph, opts Options) *Engine {
 	e.planPool.New = func() any { return &planScratch{} }
 	e.gc.cond = sync.NewCond(&e.gc.mu)
 	e.gc.waiterCh = make(chan struct{}, 1)
-	if !opts.Exact {
-		e.reachIx = reach.New(g, opts.Tau, opts.ReachCache)
-	}
 	e.querySem = make(chan struct{}, opts.Workers)
 	return e
 }
@@ -417,15 +410,17 @@ func (e *Engine) Graph() *kg.Graph { return e.g }
 // state returns the current generation state (nil before IndexCorpus).
 func (e *Engine) state() *genState { return e.st.Load() }
 
-// scorerOpts builds the relevance options for this engine.
-func (e *Engine) scorerOpts() relevance.Options {
-	return relevance.Options{
+// newScorer builds a reachability-guided scorer with this engine's
+// relevance options over view. Each scorer walks with its own τ-hop
+// ball, so scorers share nothing but the extent cache.
+func (e *Engine) newScorer(view relevance.DocView) *relevance.Scorer {
+	return relevance.NewScorer(e.g, view, true, relevance.Options{
 		Tau:     e.opts.Tau,
 		Beta:    e.opts.Beta,
 		Samples: e.opts.Samples,
 		Exact:   e.opts.Exact,
 		Extents: e.extents,
-	}
+	})
 }
 
 // IndexCorpus runs the full pipeline over the corpus, producing the
@@ -629,7 +624,7 @@ func (e *Engine) buildState(gen uint64, segs []*snapshot.Segment, prev *genState
 
 	workerScorers := make([]*relevance.Scorer, e.opts.Workers)
 	for w := range workerScorers {
-		workerScorers[w] = relevance.NewScorer(e.g, st, e.reachIx, e.scorerOpts())
+		workerScorers[w] = e.newScorer(st)
 	}
 	total := e.buildPlans(st, workerScorers, prev)
 	if prev == nil {
@@ -688,7 +683,7 @@ func (e *Engine) newStateShell(snap *snapshot.Snapshot, prev *genState) *genStat
 		}
 	}
 	st.scorers.New = func() any {
-		return relevance.NewScorer(e.g, st, e.reachIx, e.scorerOpts())
+		return e.newScorer(st)
 	}
 	return st
 }

@@ -316,7 +316,7 @@ func (e *Engine) prewarmConn(ctx context.Context, seg *snapshot.Segment) []connP
 	stamps := make([][]uint32, workers)
 	gens := make([]uint32, workers)
 	for w := range scorers {
-		scorers[w] = relevance.NewScorer(e.g, view, e.reachIx, e.scorerOpts())
+		scorers[w] = e.newScorer(view)
 		stamps[w] = make([]uint32, seg.Len())
 	}
 	e.parallelWorker(len(concepts), func(worker, i int) {

@@ -182,21 +182,24 @@ func FormatFig5(points []Fig5Point) string {
 	return b.String()
 }
 
-// ── E9: reachability-index construction cost (§IV-A2) ──────────────
+// ── E9: reachability cost (§IV-A2) ─────────────────────────────────
 
-// ReachBuildResult reports index construction at this repo's scale
-// (the paper: 260 s and 100 GB for full DBpedia).
+// ReachBuildResult reports what reachability guidance costs at this
+// repo's scale when each walker builds its τ-hop balls on demand (the
+// paper instead precomputes an index: 260 s and 100 GB for full
+// DBpedia).
 type ReachBuildResult struct {
 	Targets  int
 	Seconds  float64
-	Bytes    int64
+	MeanBall float64 // mean ball size in nodes, center included
+	Bytes    int64   // resident bytes of one walker's ball
 	KGNodes  int
 	KGEdges  int64
 	HopBound int
 }
 
-// ReachIndexBuild precomputes distance tables for nTargets instance
-// entities (deterministically sampled) and reports cost.
+// ReachIndexBuild fills the τ-hop ball around nTargets instance
+// entities (deterministically sampled) and reports the cost.
 func (w *World) ReachIndexBuild(nTargets int) ReachBuildResult {
 	if nTargets <= 0 {
 		nTargets = 500
@@ -212,23 +215,31 @@ func (w *World) ReachIndexBuild(nTargets int) ReachBuildResult {
 		targets = append(targets, instances[r.Intn(len(instances))])
 	}
 	tau := w.Engine.Options().Tau
-	ix := reach.New(w.G, tau, nTargets+1)
+	ball := reach.NewBall(w.G, tau)
+	members := 0
 	start := time.Now()
-	bytes := ix.Precompute(targets)
-	return ReachBuildResult{
+	for _, v := range targets {
+		ball.Center(v)
+		members += ball.Len()
+	}
+	res := ReachBuildResult{
 		Targets:  len(targets),
 		Seconds:  time.Since(start).Seconds(),
-		Bytes:    bytes,
+		Bytes:    ball.Bytes(),
 		KGNodes:  w.G.NumNodes(),
 		KGEdges:  w.G.NumInstanceEdges(),
 		HopBound: tau,
 	}
+	if len(targets) > 0 {
+		res.MeanBall = float64(members) / float64(len(targets))
+	}
+	return res
 }
 
-// FormatReachBuild renders the construction-cost line.
+// FormatReachBuild renders the reachability-cost line.
 func FormatReachBuild(r ReachBuildResult) string {
 	return fmt.Sprintf(
-		"reachability index: %d targets over %d nodes / %d edges (k=%d): %.2fs, %.1f MB\n",
+		"reachability balls: %d targets over %d nodes / %d edges (τ=%d): %.2f ms on demand, mean ball %.1f nodes, %.2f MB per walker\n",
 		r.Targets, r.KGNodes, r.KGEdges, r.HopBound,
-		r.Seconds, float64(r.Bytes)/1e6)
+		r.Seconds*1e3, r.MeanBall, float64(r.Bytes)/1e6)
 }

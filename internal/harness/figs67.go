@@ -6,7 +6,6 @@ import (
 
 	"ncexplorer/internal/corpus"
 	"ncexplorer/internal/kg"
-	"ncexplorer/internal/reach"
 	"ncexplorer/internal/relevance"
 	"ncexplorer/internal/rw"
 	"ncexplorer/internal/xrand"
@@ -45,7 +44,7 @@ func (w *World) samplePairs(src corpus.Source, n int, label uint64) []pairSample
 // stays tractable; the same cap applies to relevant and negative pairs,
 // preserving the comparison.
 func (w *World) exactScorer(tau int) *relevance.Scorer {
-	return relevance.NewScorer(w.G, w.Engine, nil, relevance.Options{
+	return relevance.NewScorer(w.G, w.Engine, false, relevance.Options{
 		Tau: tau, Beta: 0.5, Exact: true, MaxExtent: 300,
 	})
 }
@@ -140,8 +139,8 @@ func FormatFig6(rows []Fig6Row) string {
 var Fig7SampleCounts = []int{1, 2, 5, 10, 20, 30, 40, 50}
 
 // Fig7Point reports the mean relative estimation error of cdrc for a
-// source at a sample count, with or without reachability-index
-// guidance.
+// source at a sample count, with or without reachability guidance
+// (the paper's "w/ index" and "w/o index" curves).
 type Fig7Point struct {
 	Source  string
 	Samples int
@@ -161,9 +160,8 @@ func (w *World) Fig7(nPairs, reps int) []Fig7Point {
 	tau := 2
 	beta := 0.5
 	exact := w.exactScorer(tau)
-	ix := reach.New(w.G, tau, 0)
-	guided := rw.New(w.G, ix, tau, beta)
-	unguided := rw.New(w.G, nil, tau, beta)
+	guided := rw.New(w.G, true, tau, beta)
+	unguided := rw.New(w.G, false, tau, beta)
 
 	var out []Fig7Point
 	for _, src := range corpus.Sources {

@@ -323,7 +323,7 @@ func TestReachIndexBuild(t *testing.T) {
 	if res.Targets != 50 {
 		t.Fatalf("targets = %d", res.Targets)
 	}
-	if res.Bytes <= 0 || res.Seconds < 0 {
+	if res.Bytes <= 0 || res.Seconds < 0 || res.MeanBall < 1 {
 		t.Fatalf("bad result: %+v", res)
 	}
 	if !strings.Contains(FormatReachBuild(res), "MB") {

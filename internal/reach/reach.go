@@ -1,5 +1,5 @@
-// Package reach implements the k-hop reachability index (§III-C of the
-// paper, citing Cheng et al.) that guides the random-walk connectivity
+// Package reach implements the k-hop reachability guidance (§III-C of
+// the paper, citing Cheng et al.) behind the random-walk connectivity
 // estimator: when a walk targeting context entity v has r hops of
 // budget left, only neighbours y with dist(y, v) ≤ r−1 are *eligible* —
 // every other choice is a guaranteed dead end. Restricting sampling to
@@ -8,128 +8,100 @@
 // walks, which is what makes the estimator converge within ~20 samples
 // in Fig. 7.
 //
-// The index stores, per target node, the exact BFS distance (capped at
-// k) from every instance node to the target. Entries are materialised
-// on demand and cached with bounded capacity; Precompute builds entries
-// ahead of time for a known target set (the analogue of the paper's
-// offline 260 s / 100 GB construction over full DBpedia, reported by
-// the E9 benchmark at this repo's scale).
+// The paper builds this as an offline index over every target (260 s
+// and 100 GB for full DBpedia). With the small hop bounds the walks
+// use (τ = 2 by default), a target's k-hop ball is tiny, so a Ball is
+// instead filled on demand by a capped BFS around the current target
+// and kept by its owner: one per walker, no sharing, no locks. The E9
+// benchmark reports what building balls on demand costs at this repo's
+// scale.
 package reach
 
 import (
-	"sync"
+	"math"
 
 	"ncexplorer/internal/kg"
 )
 
-// Unreachable marks nodes farther than k hops from the target.
-const Unreachable = int16(-1)
-
-// Index is a bounded cache of capped-distance tables. Safe for
-// concurrent use.
-type Index struct {
+// Ball holds the exact BFS distance (capped at k) from every node
+// within k hops of one center node. Membership is a per-node stamp
+// against the current fill's generation, so moving the ball to a new
+// center costs only the size of the new ball, not of the graph. The
+// graph-sized arrays are allocated on the first fill. Not safe for
+// concurrent use; keep one per goroutine.
+type Ball struct {
 	g *kg.Graph
 	k int
 
-	mu    sync.Mutex
-	cache map[kg.NodeID][]int16
-	order []kg.NodeID // FIFO eviction order
-	cap   int
+	center kg.NodeID
+	gen    uint32   // stamp of the current fill; 0 ⇒ never filled
+	stamp  []uint32 // stamp[x] == gen ⇔ x is in the ball
+	dist   []uint8  // dist[x] = dist(x, center), valid where stamped
+	nodes  []kg.NodeID
 }
 
-// New returns an index answering "dist(x, target) ≤ r?" queries for
-// r ≤ k. maxCached bounds the number of resident target tables
-// (0 ⇒ a generous default).
-func New(g *kg.Graph, k, maxCached int) *Index {
-	if k < 1 {
-		panic("reach: k must be ≥ 1")
+// NewBall returns an empty ball answering "dist(x, center) ≤ r?" for
+// r ≤ k.
+func NewBall(g *kg.Graph, k int) *Ball {
+	if k < 1 || k > math.MaxUint8 {
+		panic("reach: k must be in [1, 255]")
 	}
-	if maxCached <= 0 {
-		maxCached = 4096
-	}
-	return &Index{g: g, k: k, cache: make(map[kg.NodeID][]int16), cap: maxCached}
+	return &Ball{g: g, k: k}
 }
 
-// K returns the hop cap of the index.
-func (ix *Index) K() int { return ix.k }
-
-// DistTo returns the capped-distance table for target v: table[x] is
-// the BFS distance from x to v if ≤ k, else Unreachable. The table is
-// shared and must not be modified.
-func (ix *Index) DistTo(v kg.NodeID) []int16 {
-	ix.mu.Lock()
-	if t, ok := ix.cache[v]; ok {
-		ix.mu.Unlock()
-		return t
+// Center moves the ball to v, refilling it unless it is already
+// centered there.
+func (b *Ball) Center(v kg.NodeID) {
+	if b.gen != 0 && b.center == v {
+		return
 	}
-	ix.mu.Unlock()
-
-	t := ix.build(v)
-
-	ix.mu.Lock()
-	if len(ix.order) >= ix.cap {
-		evict := ix.order[0]
-		ix.order = ix.order[1:]
-		delete(ix.cache, evict)
+	if b.stamp == nil {
+		b.stamp = make([]uint32, b.g.NumNodes())
+		b.dist = make([]uint8, b.g.NumNodes())
 	}
-	if _, dup := ix.cache[v]; !dup {
-		ix.cache[v] = t
-		ix.order = append(ix.order, v)
+	b.gen++
+	if b.gen == 0 { // wrapped: stale stamps could alias the new fill
+		clear(b.stamp)
+		b.gen = 1
 	}
-	ix.mu.Unlock()
-	return t
-}
-
-func (ix *Index) build(v kg.NodeID) []int16 {
-	t := make([]int16, ix.g.NumNodes())
-	for i := range t {
-		t[i] = Unreachable
-	}
-	t[v] = 0
-	frontier := []kg.NodeID{v}
-	for d := 1; d <= ix.k; d++ {
-		var next []kg.NodeID
-		for _, x := range frontier {
-			for _, y := range ix.g.InstanceNeighbors(x) {
-				if t[y] == Unreachable {
-					t[y] = int16(d)
-					next = append(next, y)
+	b.center = v
+	b.stamp[v], b.dist[v] = b.gen, 0
+	nodes := append(b.nodes[:0], v)
+	for d, lo := 1, 0; d <= b.k; d++ {
+		hi := len(nodes)
+		for _, x := range nodes[lo:hi] {
+			for _, y := range b.g.InstanceNeighbors(x) {
+				if b.stamp[y] != b.gen {
+					b.stamp[y], b.dist[y] = b.gen, uint8(d)
+					nodes = append(nodes, y)
 				}
 			}
 		}
-		frontier = next
+		lo = hi
 	}
-	return t
+	b.nodes = nodes
 }
 
-// Within reports whether dist(x, v) ≤ r using the index (r is clamped
-// to k; the index cannot answer beyond its cap).
-func (ix *Index) Within(x, v kg.NodeID, r int) bool {
-	if r < 0 {
-		return false
-	}
-	if r > ix.k {
-		r = ix.k
-	}
-	d := ix.DistTo(v)[x]
-	return d != Unreachable && int(d) <= r
+// Len returns the number of nodes in the ball, its center included.
+func (b *Ball) Len() int { return len(b.nodes) }
+
+// Bytes returns the resident size of the ball's arrays.
+func (b *Ball) Bytes() int64 {
+	return int64(len(b.stamp))*4 + int64(len(b.dist)) + int64(cap(b.nodes))*4
 }
 
-// Precompute materialises the tables for all targets, reporting the
-// total bytes resident afterwards. Used by construction benchmarks and
-// by callers that know their context-entity set up front.
-func (ix *Index) Precompute(targets []kg.NodeID) int64 {
-	var bytes int64
-	for _, v := range targets {
-		t := ix.DistTo(v)
-		bytes += int64(len(t)) * 2
+// Dist returns dist(x, center) if it is at most k, else -1. The ball
+// must have been centered.
+func (b *Ball) Dist(x kg.NodeID) int {
+	if b.stamp[x] != b.gen {
+		return -1
 	}
-	return bytes
+	return int(b.dist[x])
 }
 
-// CachedTargets returns the number of resident tables.
-func (ix *Index) CachedTargets() int {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	return len(ix.cache)
+// Within reports whether dist(x, center) ≤ r (r is clamped to k; the
+// ball cannot answer beyond its cap).
+func (b *Ball) Within(x kg.NodeID, r int) bool {
+	d := b.Dist(x)
+	return d >= 0 && d <= r
 }

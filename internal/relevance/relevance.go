@@ -22,7 +22,6 @@ package relevance
 import (
 	"ncexplorer/internal/kg"
 	"ncexplorer/internal/paths"
-	"ncexplorer/internal/reach"
 	"ncexplorer/internal/rw"
 	"ncexplorer/internal/shardmap"
 	"ncexplorer/internal/topk"
@@ -97,14 +96,14 @@ func (o Options) withDefaults() Options {
 // Scorer computes cdr and its components.
 //
 // Concurrency contract (the scorer-per-worker rule): a Scorer is NOT
-// safe for concurrent use — it owns random-walk scratch buffers and an
-// extent memo table. Create one per worker goroutine, or pool them
-// (sync.Pool) and borrow for the duration of a computation, as the
-// engine's query path does. Two scorers over the same graph are fully
-// independent and may run in parallel; the graph, DocView, and
-// reach.Index they share must themselves be safe for concurrent reads
-// (kg.Graph and reach.Index are; the engine's DocView is immutable
-// after indexing).
+// safe for concurrent use — it owns random-walk scratch buffers, the
+// walker's reachability ball and an extent memo table. Create one per
+// worker goroutine, or pool them (sync.Pool) and borrow for the
+// duration of a computation, as the engine's query path does. Two
+// scorers over the same graph are fully independent and may run in
+// parallel; the graph and DocView they share must themselves be safe
+// for concurrent reads (kg.Graph is; the engine's DocView is immutable
+// after indexing). Scorers share no reachability state.
 //
 // Values a Scorer *returns* are a different matter: Extent results are
 // immutable shared slices that remain valid and safe to read after the
@@ -148,9 +147,9 @@ func NewExtentCache(shards int) *ExtentCache {
 	})}
 }
 
-// NewScorer builds a scorer. index may be nil (unguided walks); it is
-// ignored when opts.Exact is set.
-func NewScorer(g *kg.Graph, view DocView, index *reach.Index, opts Options) *Scorer {
+// NewScorer builds a scorer. guided selects reachability-guided walks
+// over plain ones; it is ignored when opts.Exact is set.
+func NewScorer(g *kg.Graph, view DocView, guided bool, opts Options) *Scorer {
 	opts = opts.withDefaults()
 	s := &Scorer{
 		g: g, view: view, opts: opts,
@@ -159,7 +158,7 @@ func NewScorer(g *kg.Graph, view DocView, index *reach.Index, opts Options) *Sco
 	if opts.Exact {
 		s.counter = paths.NewCounter(g)
 	} else {
-		s.est = rw.New(g, index, opts.Tau, opts.Beta)
+		s.est = rw.New(g, guided, opts.Tau, opts.Beta)
 	}
 	return s
 }

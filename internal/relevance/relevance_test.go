@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"ncexplorer/internal/kg"
-	"ncexplorer/internal/reach"
 	"ncexplorer/internal/xrand"
 )
 
@@ -68,11 +67,7 @@ func testWorld(t testing.TB) (*kg.Graph, *fakeView, map[string]kg.NodeID) {
 
 func newScorer(g *kg.Graph, view DocView, exact bool) *Scorer {
 	opts := Options{Tau: 2, Beta: 0.5, Samples: 2000, Exact: exact}
-	var ix *reach.Index
-	if !exact {
-		ix = reach.New(g, 2, 0)
-	}
-	return NewScorer(g, view, ix, opts)
+	return NewScorer(g, view, !exact, opts)
 }
 
 func TestMatchesViaClosure(t *testing.T) {
@@ -235,7 +230,7 @@ func TestMaxContextTruncation(t *testing.T) {
 	view.weights[3] = map[kg.NodeID]float64{
 		ids["ftx"]: 0.9, ids["court"]: 0.8, ids["nowhere"]: 0.1, ids["binance"]: 0.7,
 	}
-	s := NewScorer(g, view, nil, Options{Tau: 2, Beta: 0.5, MaxContext: 1, Exact: true})
+	s := NewScorer(g, view, false, Options{Tau: 2, Beta: 0.5, MaxContext: 1, Exact: true})
 	// For concept Other on doc 3: ME = {court, nowhere}, CE = {ftx,
 	// binance}; MaxContext=1 keeps ftx (0.9).
 	// S(Other, ftx) = paths from {court, nowhere} to ftx ≤ 2 hops:
@@ -255,7 +250,7 @@ func TestOptionsDefaults(t *testing.T) {
 
 func BenchmarkCDRSampled(b *testing.B) {
 	g, view, ids := testWorld(b)
-	s := NewScorer(g, view, reach.New(g, 2, 0), Options{Samples: 50})
+	s := NewScorer(g, view, true, Options{Samples: 50})
 	rnd := xrand.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -329,7 +324,7 @@ func TestSharedExtentCache(t *testing.T) {
 	g, view, ids := testWorld(t)
 	cache := NewExtentCache(4)
 	mk := func() *Scorer {
-		return NewScorer(g, view, nil, Options{Exact: true, Extents: cache})
+		return NewScorer(g, view, false, Options{Exact: true, Extents: cache})
 	}
 	a, b := mk(), mk()
 	listA, setA := a.Extent(ids["Broad"])

@@ -9,8 +9,8 @@
 // One sample: draw u uniformly from Ψ(c), then run a non-repeating
 // random walk from u toward v. At each step the walk chooses uniformly
 // among *eligible* neighbours — unvisited nodes that can still reach v
-// within the remaining hop budget (exact reachability when a
-// reach.Index guides the walk; merely "unvisited" when unguided). If
+// within the remaining hop budget (exact reachability from the τ-hop
+// reach.Ball around v when guided; merely "unvisited" when unguided). If
 // the walk reaches v after l steps having had N(u₀), …, N(u_{l−1})
 // eligible choices, the sample value is
 //
@@ -37,32 +37,36 @@ import (
 )
 
 // Estimator runs guided or unguided walks. Not safe for concurrent use
-// (scratch buffers); create one per goroutine.
+// (scratch buffers and the reachability ball); create one per
+// goroutine.
 type Estimator struct {
-	g     *kg.Graph
-	index *reach.Index // nil ⇒ unguided
-	tau   int
-	beta  float64
+	g    *kg.Graph
+	ball *reach.Ball // τ-hop ball around the current target; nil ⇒ unguided
+	tau  int
+	beta float64
 
 	visited  []kg.NodeID // scratch: nodes on the current walk
 	eligible []kg.NodeID // scratch: eligible neighbours at a step
 	sources  []kg.NodeID // scratch: eligible source pool per target
 }
 
-// New returns an estimator with hop bound tau and damping beta. Pass a
-// nil index for unguided walks.
-func New(g *kg.Graph, index *reach.Index, tau int, beta float64) *Estimator {
+// New returns an estimator with hop bound tau and damping beta. A
+// guided estimator restricts every step to neighbours that can still
+// reach the target, using a τ-hop ball it refills whenever the target
+// changes.
+func New(g *kg.Graph, guided bool, tau int, beta float64) *Estimator {
 	if tau < 1 {
 		panic("rw: tau must be ≥ 1")
 	}
 	if beta <= 0 || beta > 1 {
 		panic("rw: beta must be in (0, 1]")
 	}
-	return &Estimator{g: g, index: index, tau: tau, beta: beta}
+	e := &Estimator{g: g, tau: tau, beta: beta}
+	if guided {
+		e.ball = reach.NewBall(g, tau)
+	}
+	return e
 }
-
-// Guided reports whether the estimator uses a reachability index.
-func (e *Estimator) Guided() bool { return e.index != nil }
 
 // Walk runs one walk from u toward v and returns the sample value for
 // the pair term Σ_l β^l |paths^⟨l⟩(u, v)| (i.e. without the |Ψ(c)|
@@ -71,10 +75,10 @@ func (e *Estimator) Walk(r *xrand.Rand, u, v kg.NodeID) float64 {
 	if u == v {
 		return 0
 	}
-	var dist []int16
-	if e.index != nil {
-		dist = e.index.DistTo(v)
-		if dist[u] == reach.Unreachable {
+	ball := e.ball
+	if ball != nil {
+		ball.Center(v)
+		if ball.Dist(u) < 0 {
 			return 0
 		}
 	}
@@ -93,10 +97,8 @@ func (e *Estimator) Walk(r *xrand.Rand, u, v kg.NodeID) float64 {
 			if remaining == 0 || e.onWalk(y) {
 				continue
 			}
-			if dist != nil {
-				if d := dist[y]; d == reach.Unreachable || int(d) > remaining {
-					continue
-				}
+			if ball != nil && !ball.Within(y, remaining) {
+				continue
 			}
 			e.eligible = append(e.eligible, y)
 		}
@@ -149,24 +151,24 @@ func (e *Estimator) EstimatePair(r *xrand.Rand, u, v kg.NodeID, n int) float64 {
 // with n samples, each drawing u uniformly from the source pool and
 // scaling by the pool size (the |Ψ(c)| factor of Eq. 6).
 //
-// When a reachability index guides the estimator, the source pool is
+// When reachability guides the estimator, the source pool is
 // restricted to extent entities that can reach v within τ hops. This
 // keeps the estimator exactly unbiased — sources beyond τ contribute
 // precisely zero to S — while removing the dominant variance term for
 // large extents, where most sources are nowhere near the context
 // entity. It is the source-side counterpart of eligible-neighbour
-// sampling, and the main reason the indexed estimator converges within
+// sampling, and the main reason the guided estimator converges within
 // tens of samples (Fig. 7).
 func (e *Estimator) EstimateConcept(r *xrand.Rand, ext []kg.NodeID, v kg.NodeID, n int) float64 {
 	if len(ext) == 0 || n <= 0 {
 		return 0
 	}
 	pool := ext
-	if e.index != nil {
-		dist := e.index.DistTo(v)
+	if e.ball != nil {
+		e.ball.Center(v)
 		eligible := e.sources[:0]
 		for _, u := range ext {
-			if d := dist[u]; d != reach.Unreachable && int(d) <= e.tau && u != v {
+			if u != v && e.ball.Dist(u) >= 0 {
 				eligible = append(eligible, u)
 			}
 		}

@@ -6,7 +6,6 @@ import (
 
 	"ncexplorer/internal/kg"
 	"ncexplorer/internal/paths"
-	"ncexplorer/internal/reach"
 	"ncexplorer/internal/xrand"
 )
 
@@ -38,9 +37,8 @@ func TestUnbiasedness(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		g, ids := randomGraph(t, seed, 16, 40)
 		counter := paths.NewCounter(g)
-		ix := reach.New(g, tau, 0)
-		guided := New(g, ix, tau, beta)
-		unguided := New(g, nil, tau, beta)
+		guided := New(g, true, tau, beta)
+		unguided := New(g, false, tau, beta)
 		r := xrand.New(seed * 977)
 
 		checked := 0
@@ -79,7 +77,7 @@ func TestZeroWhenUnreachable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := New(g, reach.New(g, 2, 0), 2, 0.5)
+	est := New(g, true, 2, 0.5)
 	r := xrand.New(1)
 	if got := est.EstimatePair(r, x, z, 500); got != 0 {
 		t.Errorf("unreachable pair estimated %v", got)
@@ -100,7 +98,7 @@ func TestSingleEdgeExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := New(g, nil, 2, 0.5)
+	est := New(g, false, 2, 0.5)
 	r := xrand.New(2)
 	for i := 0; i < 100; i++ {
 		if got := est.Walk(r, u, v); got != 0.5 {
@@ -132,8 +130,8 @@ func TestGuidanceReducesVariance(t *testing.T) {
 	if exact == 0 {
 		t.Fatal("setup broken")
 	}
-	guided := New(g, reach.New(g, tau, 0), tau, beta)
-	unguided := New(g, nil, tau, beta)
+	guided := New(g, true, tau, beta)
+	unguided := New(g, false, tau, beta)
 
 	varOf := func(e *Estimator, seed uint64) float64 {
 		r := xrand.New(seed)
@@ -171,7 +169,7 @@ func TestEstimateConceptScaling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := New(g, reach.New(g, 2, 0), 2, 0.5)
+	est := New(g, true, 2, 0.5)
 	r := xrand.New(4)
 	got := est.EstimateConcept(r, []kg.NodeID{u1, u2}, v, 30000)
 	// Exact: Σ over u∈ext of WeightedCount(u, v):
@@ -210,8 +208,8 @@ func TestEligibleSourceSamplingUnbiasedAndFaster(t *testing.T) {
 	for _, s := range ext {
 		want += exact.WeightedCount(s, v, tau, beta)
 	}
-	guided := New(g, reach.New(g, tau, 0), tau, beta)
-	unguided := New(g, nil, tau, beta)
+	guided := New(g, true, tau, beta)
+	unguided := New(g, false, tau, beta)
 	r := xrand.New(11)
 	// Guided: pool collapses to {u}; even 10 samples are exact here.
 	if got := guided.EstimatePair(r, u, v, 1); got == 0 {
@@ -231,9 +229,9 @@ func TestEligibleSourceSamplingUnbiasedAndFaster(t *testing.T) {
 func TestPanicsOnBadParams(t *testing.T) {
 	g, _ := randomGraph(t, 1, 4, 4)
 	for _, fn := range []func(){
-		func() { New(g, nil, 0, 0.5) },
-		func() { New(g, nil, 2, 0) },
-		func() { New(g, nil, 2, 1.5) },
+		func() { New(g, false, 0, 0.5) },
+		func() { New(g, false, 2, 0) },
+		func() { New(g, false, 2, 1.5) },
 	} {
 		func() {
 			defer func() {
@@ -248,7 +246,7 @@ func TestPanicsOnBadParams(t *testing.T) {
 
 func TestDeterministicGivenSeed(t *testing.T) {
 	g, ids := randomGraph(t, 5, 20, 50)
-	est := New(g, reach.New(g, 2, 0), 2, 0.5)
+	est := New(g, true, 2, 0.5)
 	a := est.EstimatePair(xrand.New(7), ids[0], ids[5], 200)
 	bv := est.EstimatePair(xrand.New(7), ids[0], ids[5], 200)
 	if a != bv {
@@ -258,10 +256,10 @@ func TestDeterministicGivenSeed(t *testing.T) {
 
 func BenchmarkWalkGuided(b *testing.B) {
 	g, ids := randomGraph(b, 1, 2000, 8000)
-	est := New(g, reach.New(g, 2, 0), 2, 0.5)
+	est := New(g, true, 2, 0.5)
 	r := xrand.New(1)
 	u, v := ids[0], ids[99]
-	est.Walk(r, u, v) // warm the reach table
+	est.Walk(r, u, v) // fill the reach ball
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		est.Walk(r, u, v)
@@ -270,7 +268,7 @@ func BenchmarkWalkGuided(b *testing.B) {
 
 func BenchmarkWalkUnguided(b *testing.B) {
 	g, ids := randomGraph(b, 1, 2000, 8000)
-	est := New(g, nil, 2, 0.5)
+	est := New(g, false, 2, 0.5)
 	r := xrand.New(1)
 	u, v := ids[0], ids[99]
 	b.ResetTimer()
