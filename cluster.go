@@ -131,8 +131,12 @@ func (w *QueryWorld) ResolveConcepts(names []string) (core.Query, error) {
 	return resolveConceptsOn(w.g, names)
 }
 
-// ConceptName renders a node ID back to its concept name.
-func (w *QueryWorld) ConceptName(c kg.NodeID) string { return w.g.Name(c) }
+// DrillDownResult renders a merged drill-down page exactly as
+// Explorer.DrillDownQuery renders a local one: concepts is the
+// canonical query, and req supplies K, Offset and Explain.
+func (w *QueryWorld) DrillDownResult(concepts []string, req DrillDownRequest, page core.DrillDownPage) DrillDownResult {
+	return drillDownResult(w.g, concepts, req, page)
+}
 
 // EvaluationTopics returns the Table-I topic names, like
 // Explorer.EvaluationTopics.

@@ -8,12 +8,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
 	"ncexplorer"
+	"ncexplorer/internal/core"
 	"ncexplorer/internal/server"
 )
 
@@ -155,6 +157,85 @@ func TestRouterFailureModes(t *testing.T) {
 			t.Fatalf("answer with syncing replica diverges:\n got:  %s\n want: %s", body, want)
 		}
 	})
+}
+
+// TestRouterMalformedShardAnswer pins the router side of malformed
+// scatter input: a shard whose drill-down answer is malformed — more
+// diversity sets than shortlisted concepts, or a row with fewer cdrs
+// than concepts — is typed shard_unavailable naming that shard, never
+// a router panic.
+func TestRouterMalformedShardAnswer(t *testing.T) {
+	tc := newTestCluster(t, 2)
+	leader := tc.leaders[1].ts.URL
+	// tamper proxies shard 1's leader, rewriting its 200 answers on path.
+	tamper := func(path string, rewrite func(body []byte) []byte) string {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			resp, err := http.Post(leader+r.URL.Path, "application/json", r.Body)
+			if err != nil {
+				w.WriteHeader(http.StatusBadGateway)
+				return
+			}
+			defer resp.Body.Close()
+			body, _ := io.ReadAll(resp.Body)
+			if r.URL.Path == path && resp.StatusCode == http.StatusOK {
+				body = rewrite(body)
+			}
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(resp.StatusCode)
+			w.Write(body)
+		}))
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	// remarshal runs on the proxy's goroutine, so it reports with
+	// t.Error and passes the body through untouched on failure.
+	remarshal := func(t *testing.T, body []byte, v any, edit func() bool) []byte {
+		if err := json.Unmarshal(body, v); err != nil || !edit() {
+			t.Errorf("cannot break answer %s (%v)", body, err)
+			return body
+		}
+		out, _ := json.Marshal(v)
+		return out
+	}
+	for _, c := range []struct {
+		name, path string
+		rewrite    func(t *testing.T, body []byte) []byte
+	}{
+		{"extra diversity set", "/internal/query/diversity", func(t *testing.T, body []byte) []byte {
+			var d core.DiversityPartial
+			return remarshal(t, body, &d, func() bool {
+				d.Sets = append(d.Sets, nil)
+				return true
+			})
+		}},
+		{"row with short cdrs", "/internal/query/drilldown-partials", func(t *testing.T, body []byte) []byte {
+			var p core.DrillDownPartial
+			return remarshal(t, body, &p, func() bool {
+				if len(p.Rows) == 0 {
+					return false
+				}
+				p.Rows[0].CDRs = p.Rows[0].CDRs[:len(p.Rows[0].CDRs)-1]
+				return true
+			})
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			bad := tamper(c.path, func(body []byte) []byte { return c.rewrite(t, body) })
+			ts := routerOver(t, tc, 2*time.Second, tc.router.Shards[0], []string{bad})
+			status, body := postJSON(t, ts.URL, "/v2/query/drilldown",
+				queryReq{Concepts: []string{tc.world.EvaluationTopics()[0][0]}, K: 5})
+			if status != http.StatusServiceUnavailable {
+				t.Fatalf("status = %d, want 503: %s", status, body)
+			}
+			env := decodeEnvelope(t, body)
+			if env.Error.Code != string(ncexplorer.CodeShardUnavailable) {
+				t.Fatalf("code = %q, want shard_unavailable: %s", env.Error.Code, body)
+			}
+			if shard, ok := env.Error.Details["shard"].(float64); !ok || int(shard) != 1 {
+				t.Fatalf("details.shard = %v, want 1: %s", env.Error.Details["shard"], body)
+			}
+		})
+	}
 }
 
 // TestReplicaRestartFetchesOnlyMissingSegments pins the shipping

@@ -594,8 +594,9 @@ func (rt *Router) drillDown(ctx context.Context, concepts []string, q queryBody,
 				}(j, shard)
 			}
 			wg.Wait()
+			g := rt.World.Graph()
 			sets := make([][]kg.NodeID, len(short))
-			for j := range divs {
+			for j, shard := range shardOf {
 				if errs[j] != nil {
 					return nil, errs[j]
 				}
@@ -604,13 +605,28 @@ func (rt *Router) drillDown(ctx context.Context, concepts []string, q queryBody,
 				if divs[j].Generation != gen {
 					return nil, core.ErrGenerationSkew
 				}
+				// Concatenation loses which shard sent what, so each
+				// answer is checked here, where the shard can be named.
+				if len(divs[j].Sets) != len(short) {
+					return nil, shardUnavailable(shard, fmt.Sprintf(
+						"diversity answer has %d sets for %d shortlisted concepts", len(divs[j].Sets), len(short)))
+				}
 				for si, set := range divs[j].Sets {
+					for _, v := range set {
+						if !g.Valid(v) {
+							return nil, shardUnavailable(shard, fmt.Sprintf("diversity set names entity %d outside the graph", v))
+						}
+					}
 					sets[si] = append(sets[si], set...)
 				}
 			}
 			return sets, nil
 		}
 		page, err := core.MergeDrillDown(rt.World.Graph(), opts, participating, fetchSets)
+		var bad *core.MalformedError
+		if errors.As(err, &bad) && bad.Part >= 0 {
+			return nil, false, shardUnavailable(shardOf[bad.Part], "malformed drill-down rows: "+bad.Err.Error())
+		}
 		if errors.Is(err, core.ErrGenerationSkew) {
 			if attempt < rt.skewRetries() {
 				rt.logf("cluster: router drill-down phase-2 skew, re-syncing (attempt %d)", attempt+1)
@@ -624,28 +640,9 @@ func (rt *Router) drillDown(ctx context.Context, concepts []string, q queryBody,
 		}
 		rt.generation.Store(page.Generation)
 
-		subs := make([]ncexplorer.SubtopicSuggestion, 0, len(page.Results))
-		for _, s := range page.Results {
-			sub := ncexplorer.SubtopicSuggestion{
-				Concept:     rt.World.ConceptName(s.Concept),
-				Score:       s.Score,
-				MatchedDocs: s.MatchedDocs,
-			}
-			if q.Explain {
-				sub.Coverage = s.Coverage
-				sub.Specificity = s.Specificity
-				sub.Diversity = s.Diversity
-			}
-			subs = append(subs, sub)
-		}
 		res := partialDrillDownResult{
-			DrillDownResult: ncexplorer.DrillDownResult{
-				Query: concepts, K: q.K, Offset: q.Offset,
-				Total:       page.Total,
-				NextOffset:  ncexplorer.NextPageOffset(q.Offset, len(subs), page.Total),
-				Generation:  page.Generation,
-				Suggestions: subs,
-			},
+			DrillDownResult: rt.World.DrillDownResult(concepts,
+				ncexplorer.DrillDownRequest{K: q.K, Offset: q.Offset, Explain: q.Explain}, page),
 			Partial: partial,
 		}
 		body, err := json.Marshal(res)

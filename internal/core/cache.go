@@ -13,16 +13,14 @@ import (
 // scorers, so concurrent queries never share unsynchronised state and
 // never serialize behind a global lock.
 //
-// The maps split by lifetime:
+// The state splits by lifetime:
 //
 //   - per generation (swapped with the snapshot, so an ingest
-//     invalidates them wholesale without a flush):
-//     cdrMemo memoises cdr(c, d) for NON-matching pairs only (delta
-//     evaluation probes arbitrary keys); matching pairs are answered
-//     straight from the generation's concept plans (plan.go), which
-//     also carry the per-concept matching-document lists (Definition
-//     1 semantics), precomputed at swap time rather than memoised on
-//     demand;
+//     invalidates it wholesale without a flush): the concept plans
+//     (plan.go) answer cdr(c, d) for every matching pair — and a
+//     non-matching pair's cdr is zero — and carry the per-concept
+//     matching-document lists (Definition 1 semantics), precomputed at
+//     swap time rather than memoised on demand;
 //   - engine-wide (valid forever): connMemo holds the
 //     context-relevance factor cdrc(c, d) — the random-walk part of
 //     cdr, a pure function of graph + document — and the extent cache
@@ -35,9 +33,9 @@ import (
 // engine.go), so whichever goroutine — and whichever generation —
 // computes a value computes THE value.
 
-// cdrShards/matchShards size the memo maps. cdr keys are dense (every
-// query touches many (concept, doc) pairs) so they get more shards;
-// matchShards sizes the engine-wide extent cache.
+// cdrShards/matchShards size the memo maps. (concept, doc) keys are
+// dense (indexing walks many pairs) so the connectivity memo gets more
+// shards; matchShards sizes the engine-wide extent cache.
 const (
 	cdrShards   = 64
 	matchShards = 16
@@ -46,10 +44,6 @@ const (
 // CacheStats reports the engine's query-cache effectiveness: the
 // serving layer surfaces it through /statsz.
 type CacheStats struct {
-	// CDR is the (concept, document) relevance memo (current
-	// generation). Matching pairs are served from the plans without
-	// touching it, so its entries are on-demand non-matching probes.
-	CDR shardmap.Stats `json:"cdr"`
 	// Match reports the concept→matching-documents plans (current
 	// generation). Plans are precomputed at swap time, so Entries is
 	// the number of concepts with a non-empty plan and the hit/miss
@@ -67,7 +61,6 @@ func (e *Engine) CacheStats() CacheStats {
 		return CacheStats{}
 	}
 	return CacheStats{
-		CDR:   st.cdrMemo.Stats(),
 		Match: shardmap.Stats{Entries: int64(st.planned)},
 		Conn:  e.connMemo.Stats(),
 	}

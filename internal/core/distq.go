@@ -14,23 +14,27 @@ package core
 // contributions across *all* matched documents, and float addition is
 // not associative — a router that summed per-shard coverages could
 // diverge from the monolithic result in the last bits. So shards ship
-// the raw accumulation input instead (DrillDownPartials: per matched
+// the walk step's output instead (DrillDownPartials: per matched
 // document, its candidate concepts with their cdr values, in stored
-// order), and MergeDrillDown replays the monolithic accumulation over
-// the merged document stream in ascending global ID order — the exact
-// float operation sequence a single engine would have executed. The
-// diversity factor needs one more round trip: it counts distinct
-// matched entities per shortlisted concept, a set union that cannot be
-// derived from per-shard cardinalities, so the router fetches per-shard
-// entity sets (DiversityPartials) for just the shortlist and dedupes
-// across shards. Everything downstream — shortlist selection, score
-// composition, tie-breaking, pagination — reuses the same helpers as
-// DrillDownPage, so the merged page is byte-identical.
+// order, and its entity count), and MergeDrillDown feeds the merged
+// rows, in ascending global ID order, through the same accumulate step
+// DrillDownPage uses — the exact float operation sequence a single
+// engine would have executed. The diversity factor needs one more
+// round trip: it counts distinct matched entities per shortlisted
+// concept, a set union that cannot be derived from per-shard
+// cardinalities, so the router fetches per-shard entity sets
+// (DiversityPartials, collected along the same pair log DrillDownPage
+// scores from) for just the shortlist and dedupes across shards.
+// Everything downstream — shortlist selection, score composition,
+// upper-bound pruning, tie-breaking, pagination — is DrillDownPage's
+// own shortlist and rank steps, so the merged page is byte-identical.
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
+	"sync"
 
 	"ncexplorer/internal/kg"
 	"ncexplorer/internal/topk"
@@ -121,43 +125,20 @@ type DrillDownPartial struct {
 }
 
 // DrillDownPartials extracts this shard's accumulation input for query
-// q — phase one of a distributed drill-down. The rows replay exactly
-// the per-document walk DrillDownPage performs locally, including the
-// same publication-time filter when tr is non-nil, so the merged page
-// stays byte-identical to a monolithic time-filtered drill-down.
+// q — phase one of a distributed drill-down: the rows of DrillDownPage's
+// own walk step, including the same publication-time filter when tr is
+// non-nil, so the merged page stays byte-identical to a monolithic
+// time-filtered drill-down.
 func (e *Engine) DrillDownPartials(ctx context.Context, q Query, tr *TimeRange) (DrillDownPartial, error) {
 	st := e.state()
 	out := DrillDownPartial{Generation: st.snap.Generation}
-	if len(q) == 0 {
-		return out, nil
-	}
-	if tr != nil && !tr.overlapsSnapshot(st.snap) {
-		return out, nil
-	}
-	docs, err := st.matchedDocsCtx(ctx, q)
+	err := st.drillWalk(ctx, q, tr, &DrillDownRow{}, func(doc, numEnts int32, concepts []kg.NodeID, cdrs []float64) error {
+		out.Rows = append(out.Rows, DrillDownRow{Doc: doc, NumEnts: numEnts,
+			Concepts: slices.Clone(concepts), CDRs: slices.Clone(cdrs)})
+		return nil
+	})
 	if err != nil {
 		return DrillDownPartial{Generation: st.snap.Generation}, err
-	}
-	for i, d := range docs {
-		if i%ctxStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return DrillDownPartial{Generation: st.snap.Generation}, err
-			}
-		}
-		if tr != nil && !tr.contains(st.snap.Doc(d).PublishedAt) {
-			continue
-		}
-		row := DrillDownRow{Doc: d, NumEnts: int32(len(st.ents[d]))}
-		for _, cs := range st.docConcepts(d) {
-			if queryHas(q, cs.Concept) {
-				continue
-			}
-			row.Concepts = append(row.Concepts, cs.Concept)
-			row.CDRs = append(row.CDRs, cs.CDR)
-		}
-		if len(row.Concepts) > 0 {
-			out.Rows = append(out.Rows, row)
-		}
 	}
 	return out, nil
 }
@@ -170,52 +151,51 @@ type DiversityPartial struct {
 	Sets       [][]kg.NodeID `json:"sets"`
 }
 
+// MalformedError reports distributed drill-down input no well-formed
+// peer sends: a shard row whose slices disagree or that names a node
+// outside the graph, a diversity answer with the wrong number of sets
+// or an entity outside the graph, or a shortlist entry that is not a
+// concept. Part is the index of the offending partial in
+// MergeDrillDown's parts, or -1 when the input is not one partial.
+type MalformedError struct {
+	Part int
+	Err  error
+}
+
+func (e *MalformedError) Error() string {
+	if e.Part < 0 {
+		return "core: malformed drill-down input: " + e.Err.Error()
+	}
+	return fmt.Sprintf("core: malformed drill-down partial %d: %v", e.Part, e.Err)
+}
+
 // DiversityPartials computes this shard's diversity sets for query q
 // and the given shortlist concepts — phase two of a distributed
-// drill-down. Membership is against the *direct* extent Ψ(c), over the
-// matched documents that keep c as a candidate, exactly as
-// DrillDownPage counts it; the union across shards (deduplicated by
-// the merger — sets from different shards may overlap) has the same
-// cardinality a monolithic engine's union would. A non-nil tr
-// restricts membership to documents inside the window, matching the
-// coverage filter DrillDownPage applies locally.
+// drill-down. It runs DrillDownPage's walk and accumulate steps and
+// collects each concept's direct-extent entities along the pair-log
+// chain DrillDownPage counts them from, so the union across shards
+// (deduplicated by the merger — sets from different shards may
+// overlap) has the same cardinality a monolithic engine's union would.
+// A non-nil tr restricts membership to documents inside the window. A
+// shortlist entry that is not a concept of the graph is a
+// *MalformedError.
 func (e *Engine) DiversityPartials(ctx context.Context, q Query, concepts []kg.NodeID, tr *TimeRange) (DiversityPartial, error) {
 	st := e.state()
+	for _, c := range concepts {
+		if !e.g.Valid(c) || !e.g.IsConcept(c) {
+			return DiversityPartial{Generation: st.snap.Generation},
+				&MalformedError{Part: -1, Err: fmt.Errorf("shortlist entry %d is not a concept", c)}
+		}
+	}
 	out := DiversityPartial{Generation: st.snap.Generation, Sets: make([][]kg.NodeID, len(concepts))}
 	if len(q) == 0 || len(concepts) == 0 {
 		return out, nil
 	}
-	if tr != nil && !tr.overlapsSnapshot(st.snap) {
-		return out, nil
-	}
-	docs, err := st.matchedDocsCtx(ctx, q)
-	if err != nil {
+	sc := e.getScratch()
+	defer e.putScratch(sc)
+	sc.begin()
+	if err := st.drillWalk(ctx, q, tr, &sc.row, sc.accumulate); err != nil {
 		return DiversityPartial{Generation: st.snap.Generation}, err
-	}
-	if tr != nil {
-		kept := docs[:0:0]
-		for _, d := range docs {
-			if tr.contains(st.snap.Doc(d).PublishedAt) {
-				kept = append(kept, d)
-			}
-		}
-		docs = kept
-	}
-	// Each concept's union runs over the documents that keep it as a
-	// candidate, exactly the documents DrillDownPage chains into it: a
-	// document can hold an entity of Ψ(c) without keeping c (the
-	// per-document concept cap), and counting it would inflate c's
-	// diversity.
-	byConcept := make(map[kg.NodeID][]int32, len(concepts))
-	for _, c := range concepts {
-		byConcept[c] = nil
-	}
-	for _, d := range docs {
-		for _, cs := range st.docConcepts(d) {
-			if list, ok := byConcept[cs.Concept]; ok {
-				byConcept[cs.Concept] = append(list, d)
-			}
-		}
 	}
 	ds := e.divPool.Get().(*divScratch)
 	defer e.divPool.Put(ds)
@@ -223,35 +203,21 @@ func (e *Engine) DiversityPartials(ctx context.Context, q Query, concepts []kg.N
 		if err := ctx.Err(); err != nil {
 			return DiversityPartial{Generation: st.snap.Generation}, err
 		}
-		seen, counted := ds.marks()
-		for _, v := range e.g.Extent(c) {
-			ds.stamp[v] = seen
-		}
-		var set []kg.NodeID
-		for _, d := range byConcept[c] {
-			for _, v := range st.ents[d] {
-				if ds.stamp[v] == seen {
-					ds.stamp[v] = counted
-					set = append(set, v)
-				}
-			}
-		}
-		slices.Sort(set)
-		out.Sets[i] = set
+		st.chainUnion(sc, ds, c, &out.Sets[i])
+		slices.Sort(out.Sets[i])
 	}
 	return out, nil
 }
 
 // MergeDrillDown reproduces DrillDownPage over shard partials: it
-// k-way-merges the rows into ascending global document order, replays
-// the monolithic accumulation (same float operation sequence), selects
-// and sorts the same max(128, K) shortlist, fetches diversity sets for
-// exactly that shortlist via fetchSets (which must return one slice per
-// requested concept — per-shard sets concatenated; duplicates across
-// shards are deduplicated here), and pages the scored window with the
-// same collector semantics. The graph must be the same one the shards
-// were built on. Partials at differing generations yield
-// ErrGenerationSkew.
+// k-way-merges the rows into ascending global document order and runs
+// DrillDownPage's accumulate, shortlist and rank steps over them, with
+// the diversity union counted over the sets fetchSets returns for
+// exactly the shortlist (one slice per requested concept — per-shard
+// sets concatenated; duplicates across shards are deduplicated here).
+// The graph must be the same one the shards were built on. Partials at
+// differing generations yield ErrGenerationSkew; malformed partials or
+// sets yield a *MalformedError.
 func MergeDrillDown(g *kg.Graph, opts DrillDownOptions, parts []DrillDownPartial,
 	fetchSets func(shortlist []kg.NodeID) ([][]kg.NodeID, error)) (DrillDownPage, error) {
 	var page DrillDownPage
@@ -259,147 +225,100 @@ func MergeDrillDown(g *kg.Graph, opts DrillDownOptions, parts []DrillDownPartial
 		return page, nil
 	}
 	page.Generation = parts[0].Generation
-	lists := make([][]DrillDownRow, 0, len(parts))
 	for _, p := range parts {
 		if p.Generation != page.Generation {
 			return DrillDownPage{}, ErrGenerationSkew
 		}
-		if len(p.Rows) > 0 {
-			lists = append(lists, p.Rows)
-		}
 	}
-	useSpecificity, useDiversity := !opts.NoSpecificity, !opts.NoDiversity
-	k := opts.K
-	if k <= 0 || opts.Offset < 0 {
+	if opts.K <= 0 || opts.Offset < 0 {
 		return page, nil
 	}
-	rows := topk.MergeSorted(lists, func(a, b DrillDownRow) int {
-		switch {
-		case a.Doc < b.Doc:
-			return -1
-		case a.Doc > b.Doc:
-			return 1
-		}
-		return 0
-	}, -1)
-
-	// Replay the accumulation: documents ascending, concepts in stored
-	// per-document order — the exact float addition sequence
-	// DrillDownPage executes over the monolithic snapshot.
-	spec := g.SpecTable()
-	cov := make([]float64, g.NumNodes())
-	cnt := make([]int32, g.NumNodes())
-	marked := make([]bool, g.NumNodes())
-	var touched []kg.NodeID
-	for _, row := range rows {
-		for j, c := range row.Concepts {
-			if !marked[c] {
-				marked[c] = true
-				touched = append(touched, c)
+	ms := getMergeScratch(g.NumNodes())
+	defer mergePool.Put(ms)
+	sc := ms.sc
+	sc.begin()
+	// The k-way merge: each part's rows ascend, so repeatedly taking the
+	// smallest head document replays the monolithic walk's order.
+	next := make([]int, len(parts))
+	for {
+		best := -1
+		for p := range parts {
+			if next[p] < len(parts[p].Rows) &&
+				(best < 0 || parts[p].Rows[next[p]].Doc < parts[best].Rows[next[best]].Doc) {
+				best = p
 			}
-			cov[c] += row.CDRs[j]
-			cnt[c]++
 		}
+		if best < 0 {
+			break
+		}
+		r := &parts[best].Rows[next[best]]
+		if err := sc.accumulate(r.Doc, r.NumEnts, r.Concepts, r.CDRs); err != nil {
+			return DrillDownPage{}, &MalformedError{Part: best, Err: err}
+		}
+		next[best]++
 	}
-	if len(touched) == 0 {
+	if len(sc.touched) == 0 {
 		return page, nil
 	}
-
-	// Shortlist identically to DrillDownPage: quickselect the top
-	// max(128, K) by (cheap score desc, concept asc), then sort the
-	// window.
-	shortlistSize := 128
-	if k > shortlistSize {
-		shortlistSize = k
-	}
-	if shortlistSize > len(touched) {
-		shortlistSize = len(touched)
-	}
-	cand := make([]candScore, 0, len(touched))
-	for _, c := range touched {
-		s := cov[c]
-		if useSpecificity {
-			s *= spec[c]
-		}
-		cand = append(cand, candScore{c: c, s: s})
-	}
-	if len(cand) > shortlistSize {
-		selectTopCand(cand, shortlistSize)
-		cand = cand[:shortlistSize]
-	}
-	slices.SortFunc(cand, cmpCandScore)
-	short := make([]kg.NodeID, len(cand))
-	for i, cs := range cand {
-		short[i] = cs.c
-	}
-
+	sc.shortlist(g.SpecTable(), opts)
+	short := slices.Clone(sc.shortVals)
 	sets, err := fetchSets(short)
 	if err != nil {
 		return DrillDownPage{}, err
 	}
-	subs := make([]Subtopic, len(short))
-	distinct := make(map[kg.NodeID]struct{})
-	for i, c := range short {
-		clear(distinct)
-		union := 0
-		for _, v := range sets[i] {
-			if _, ok := distinct[v]; !ok {
-				distinct[v] = struct{}{}
-				union++
-			}
-		}
-		sub := Subtopic{
-			Concept:     c,
-			Coverage:    cov[c],
-			Specificity: spec[c],
-			MatchedDocs: int(cnt[c]),
-		}
-		if n := int(cnt[c]); n > 0 {
-			sub.Diversity = float64(union) / float64(n)
-		}
-		score := sub.Coverage
-		if useSpecificity {
-			score *= sub.Specificity
-		}
-		if useDiversity {
-			score *= sub.Diversity
-		}
-		sub.Score = score
-		subs[i] = sub
+	if len(sets) != len(short) {
+		return DrillDownPage{}, &MalformedError{Part: -1,
+			Err: fmt.Errorf("%d diversity sets for %d shortlisted concepts", len(sets), len(short))}
 	}
+	u := setUnion{sets: sets}
+	ranked, err := sc.rank(context.Background(), nil, g, &u, &ms.ds, opts)
+	if err == nil {
+		err = u.err
+	}
+	if err != nil {
+		return DrillDownPage{}, err
+	}
+	ranked.Generation = page.Generation
+	return ranked, nil
+}
 
-	// Page exactly like DrillDownPage: push every scored entry in
-	// shortlist order (its pruning provably retains the same set), same
-	// collector, same Total semantics, same offset slice.
-	limit := k + opts.Offset
-	if limit < 0 || limit > len(subs) {
-		limit = len(subs)
+// mergeScratch is the merge's dense workspace, pooled across merges;
+// an entry sized for another graph is dropped.
+type mergeScratch struct {
+	sc *queryScratch
+	ds divScratch
+}
+
+var mergePool sync.Pool
+
+func getMergeScratch(numNodes int) *mergeScratch {
+	if ms, ok := mergePool.Get().(*mergeScratch); ok && len(ms.sc.stamp) == numNodes {
+		return ms
 	}
-	coll := topk.New[int32](limit)
-	var total int
-	if opts.MinScore > 0 {
-		for i, sub := range subs {
-			if sub.Score < opts.MinScore {
-				continue
-			}
-			total++
-			coll.Push(int32(i), sub.Score)
+	return &mergeScratch{sc: newQueryScratch(numNodes), ds: newDivScratch(numNodes)}
+}
+
+// setUnion implements unioner over the shards' fetched diversity sets:
+// sets[i] concatenates every shard's entities for shortlist entry i,
+// and the union is their distinct count. The merge scores serially, so
+// the first entity outside the graph is simply recorded in err.
+type setUnion struct {
+	sets [][]kg.NodeID
+	err  error
+}
+
+func (u *setUnion) union(_ *queryScratch, i int, ds *divScratch) int {
+	seen, _ := ds.marks()
+	n := 0
+	for _, v := range u.sets[i] {
+		if uint(v) >= uint(len(ds.stamp)) {
+			u.err = &MalformedError{Part: -1, Err: fmt.Errorf("diversity set names entity %d outside the graph", v)}
+			return 0
 		}
-	} else {
-		total = len(subs)
-		for i := range subs {
-			coll.Push(int32(i), subs[i].Score)
+		if ds.stamp[v] != seen {
+			ds.stamp[v] = seen
+			n++
 		}
 	}
-	items := coll.Sorted()
-	page.Total = total
-	if opts.Offset >= len(items) {
-		return page, nil
-	}
-	items = items[opts.Offset:]
-	page.Results = make([]Subtopic, len(items))
-	for i, it := range items {
-		page.Results[i] = subs[it.Value]
-	}
-	return page, nil
+	return n
 }

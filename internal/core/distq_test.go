@@ -2,12 +2,15 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ncexplorer/internal/corpus"
 	"ncexplorer/internal/kg"
+	"ncexplorer/internal/kggen"
 )
 
 // TestDistributedMergeMatchesMonolithic is the router's exactness
@@ -90,10 +93,15 @@ func testDistributedMerge(t *testing.T, opts Options) {
 		for _, topic := range meta.Topics {
 			queries = append(queries, Query{topic.Concept}, Query{topic.Concept, topic.GroupConcept})
 		}
+		// The root concept matches every document, so its drill-down
+		// touches well over 128 candidates: with k = 70 the page fills
+		// 64+ slots (DrillDownPage's parallel head branch), and k = 130
+		// widens the shortlist past the 128 floor.
+		queries = append(queries, Query{g.MustLookup(kggen.RootConcept)})
 		sources := []corpus.Source{corpus.Sources[0], corpus.Sources[2]}
 		windows := timeWindows()
 		for _, q := range queries {
-			for _, k := range []int{1, 3, 8} {
+			for _, k := range []int{1, 3, 8, 70, 130} {
 				for _, offset := range []int{0, 2, 7} {
 					for _, minScore := range []float64{0, 0.05} {
 						// Alternate the time window across the grid so
@@ -191,4 +199,83 @@ func TestMergeGenerationSkew(t *testing.T) {
 	if err != ErrGenerationSkew {
 		t.Fatalf("drill-down skew error = %v", err)
 	}
+}
+
+// TestMalformedScatterInput pins that malformed distributed drill-down
+// input is a typed *MalformedError on both sides of the scatter —
+// never a panic.
+func TestMalformedScatterInput(t *testing.T) {
+	g, meta, _, e := world(t)
+	ctx := context.Background()
+	q := Query{meta.Topics[0].Concept}
+	part, err := e.DrillDownPartials(ctx, q, nil)
+	if err != nil || len(part.Rows) == 0 {
+		t.Fatalf("partials: %d rows, err %v", len(part.Rows), err)
+	}
+	// shard clones the well-formed partial so each case can break its
+	// own copy.
+	shard := func() DrillDownPartial {
+		p := DrillDownPartial{Generation: part.Generation, Rows: make([]DrillDownRow, len(part.Rows))}
+		for i, r := range part.Rows {
+			p.Rows[i] = DrillDownRow{Doc: r.Doc, NumEnts: r.NumEnts,
+				Concepts: slices.Clone(r.Concepts), CDRs: slices.Clone(r.CDRs)}
+		}
+		return p
+	}
+	fetch := func(short []kg.NodeID) ([][]kg.NodeID, error) {
+		d, err := e.DiversityPartials(ctx, q, short, nil)
+		return d.Sets, err
+	}
+	wantMalformed := func(t *testing.T, err error, part int) {
+		t.Helper()
+		var bad *MalformedError
+		if !errors.As(err, &bad) || bad.Part != part {
+			t.Fatalf("err = %v; want a *MalformedError for part %d", err, part)
+		}
+	}
+	merge := func(parts []DrillDownPartial, fetch func([]kg.NodeID) ([][]kg.NodeID, error)) error {
+		_, err := MergeDrillDown(g, DrillDownOptions{K: 5}, parts, fetch)
+		return err
+	}
+
+	t.Run("well-formed", func(t *testing.T) {
+		if err := merge([]DrillDownPartial{shard()}, fetch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("shortlist outside the graph", func(t *testing.T) {
+		for _, c := range []kg.NodeID{kg.NodeID(g.NumNodes()), -1} {
+			_, err := e.DiversityPartials(ctx, q, []kg.NodeID{c}, nil)
+			wantMalformed(t, err, -1)
+		}
+	})
+	t.Run("shortlist entity", func(t *testing.T) {
+		_, err := e.DiversityPartials(ctx, q, []kg.NodeID{meta.Topics[0].Group[0]}, nil)
+		wantMalformed(t, err, -1)
+	})
+	t.Run("row with short cdrs", func(t *testing.T) {
+		bad := shard()
+		bad.Rows[0].CDRs = bad.Rows[0].CDRs[:len(bad.Rows[0].CDRs)-1]
+		wantMalformed(t, merge([]DrillDownPartial{{Generation: part.Generation}, bad}, fetch), 1)
+	})
+	t.Run("row concept outside the graph", func(t *testing.T) {
+		bad := shard()
+		bad.Rows[len(bad.Rows)-1].Concepts[0] = kg.NodeID(g.NumNodes())
+		wantMalformed(t, merge([]DrillDownPartial{bad}, fetch), 0)
+	})
+	t.Run("too few sets", func(t *testing.T) {
+		short := func(s []kg.NodeID) ([][]kg.NodeID, error) {
+			sets, err := fetch(s)
+			return sets[:len(sets)-1], err
+		}
+		wantMalformed(t, merge([]DrillDownPartial{shard()}, short), -1)
+	})
+	t.Run("set entity outside the graph", func(t *testing.T) {
+		stray := func(s []kg.NodeID) ([][]kg.NodeID, error) {
+			sets, err := fetch(s)
+			sets[0] = append(sets[0], kg.NodeID(g.NumNodes()+7))
+			return sets, err
+		}
+		wantMalformed(t, merge([]DrillDownPartial{shard()}, stray), -1)
+	})
 }

@@ -233,7 +233,7 @@ type Engine struct {
 	extents  *relevance.ExtentCache
 
 	// querySem admits extra helper goroutines for intra-query fan-out
-	// (queryParallel). Capacity opts.Workers, engine-wide: C concurrent
+	// (queryParallelCtx). Capacity opts.Workers, engine-wide: C concurrent
 	// queries run on at most C caller goroutines + Workers helpers, not
 	// C × Workers, so request-level and intra-query parallelism compose
 	// without oversubscribing the scheduler.
@@ -303,10 +303,10 @@ type Engine struct {
 
 // genState is everything a query needs from one snapshot generation:
 // the raw snapshot, the generation-derived per-document concept
-// scores, and fresh memo maps. Swapping the whole bundle atomically is
-// what makes cache invalidation free: a new generation starts with
-// clean memos while in-flight queries keep using — and filling — the
-// generation they pinned.
+// scores, and the concept plans. Swapping the whole bundle atomically
+// is what makes cache invalidation free: a new generation starts from
+// its own derived state while in-flight queries keep using — and
+// lazily filling — the generation they pinned.
 type genState struct {
 	e    *Engine
 	snap *snapshot.Snapshot
@@ -343,12 +343,6 @@ type genState struct {
 	// verbatim.
 	entIDFN []float64
 	ceil    *ceilState
-
-	// Query-path memoisation, valid for this generation only: cdrMemo
-	// caches cdr(c, d) values for non-matching pairs (the
-	// delta-evaluation path probes arbitrary keys); matching pairs are
-	// read straight from the plans.
-	cdrMemo *shardmap.Map[uint64, cdrEntry]
 
 	// scorers pools per-goroutine relevance scorers whose DocView is
 	// this state — a borrowed scorer reads one generation's statistics
@@ -392,7 +386,7 @@ func NewEngine(g *kg.Graph, opts Options) *Engine {
 		extents:    relevance.NewExtentCache(matchShards),
 	}
 	e.scratch.New = func() any { return newQueryScratch(g.NumNodes()) }
-	e.divPool.New = func() any { return &divScratch{stamp: make([]uint32, g.NumNodes())} }
+	e.divPool.New = func() any { ds := newDivScratch(g.NumNodes()); return &ds }
 	e.candPool.New = func() any { return &candScratch{stamp: make([]uint32, g.NumNodes())} }
 	e.planPool.New = func() any { return &planScratch{} }
 	e.gc.cond = sync.NewCond(&e.gc.mu)
@@ -646,18 +640,13 @@ func (e *Engine) buildState(gen uint64, segs []*snapshot.Segment, prev *genState
 	return st, total
 }
 
-// newStateShell allocates a genState with empty memos and a scorer
-// pool bound to it. prev, when non-nil, donates its per-document
+// newStateShell allocates a genState with a scorer pool bound to it. prev, when non-nil, donates its per-document
 // entity table: the rows are generation-independent (a document's
 // entity list never changes once ingested), so a rebuild over the
 // same document range shares the table outright and a growing range
 // copies the prefix and resolves only the new segments.
 func (e *Engine) newStateShell(snap *snapshot.Snapshot, prev *genState) *genState {
-	st := &genState{
-		e:       e,
-		snap:    snap,
-		cdrMemo: shardmap.New[uint64, cdrEntry](cdrShards, hashCDRKey),
-	}
+	st := &genState{e: e, snap: snap}
 	bound := snap.DocBound()
 	prevBound := 0
 	if prev != nil {
@@ -865,22 +854,17 @@ func (e *Engine) parallel(n int, fn func(i int)) {
 	e.parallelWorker(n, func(_, i int) { fn(i) })
 }
 
-// queryParallel runs fn(i) for i in [0, n) at query time. The calling
-// goroutine always works; helper goroutines join only when (a) the
-// loop is big enough to amortise a spawn and (b) the engine-wide
+// queryParallelCtx runs fn(i) for i in [0, n) at query time. The
+// calling goroutine always works; helper goroutines join only when (a)
+// the loop is big enough to amortise a spawn and (b) the engine-wide
 // querySem has capacity — under saturation (many concurrent queries)
 // it degrades gracefully to an inline serial loop instead of piling
-// C × Workers goroutines onto the scheduler.
-func (e *Engine) queryParallel(n int, fn func(i int)) {
-	e.queryParallelCtx(context.Background(), n, fn)
-}
-
-// queryParallelCtx is queryParallel under a context: every worker
-// (caller and helpers alike) checks ctx before claiming the next index
-// and stops claiming once it is cancelled, so a cancelled query
-// releases its helper budget promptly instead of draining the loop.
-// Indices already claimed run to completion; the ctx error, if any, is
-// returned after all workers stop.
+// C × Workers goroutines onto the scheduler. Every worker (caller and
+// helpers alike) checks ctx before claiming the next index and stops
+// claiming once it is cancelled, so a cancelled query releases its
+// helper budget promptly instead of draining the loop. Indices already
+// claimed run to completion; the ctx error, if any, is returned after
+// all workers stop.
 func (e *Engine) queryParallelCtx(ctx context.Context, n int, fn func(i int)) error {
 	var next atomic.Int64
 	work := func() {
@@ -999,8 +983,7 @@ func (e *Engine) DocConcepts(doc corpus.DocID) []ConceptScore {
 }
 
 // ResetQueryCaches restores the query-time memoisation to the current
-// generation's post-build state: a fresh (empty) cdr memo for
-// non-matching probes, and the connectivity memo reduced to the
+// generation's post-build state: the connectivity memo reduced to the
 // entries the plans pin. The plans and per-document scores themselves
 // are generation
 // state, not query caches — they are carried over, exactly as a fresh

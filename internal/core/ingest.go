@@ -375,8 +375,8 @@ func (e *Engine) maybeMerge(segments int) {
 
 // mergeSegments folds the smallest adjacent segment pairs together
 // until the count respects MaxSegments, then swaps in a state that
-// keeps the SAME generation and transplants the memo maps and derived
-// scores: a merge reorganises storage without changing any statistic,
+// keeps the SAME generation and transplants the derived scores and
+// plans: a merge reorganises storage without changing any statistic,
 // so every cached value — engine memos and external response caches
 // alike — stays valid and warm.
 func (e *Engine) mergeSegments() {
@@ -425,7 +425,6 @@ func (e *Engine) mergeSegments() {
 	}
 	st := e.newStateShell(e.buildSnapshot(cur.snap.Generation, segs), cur)
 	st.concepts = cur.concepts
-	st.cdrMemo = cur.cdrMemo
 	// Plans stay valid verbatim: merges keep document IDs, corpus-global
 	// statistics, and (global-ID-aligned) block identities unchanged.
 	// That covers the ceiling state too — merged block-max tables fold

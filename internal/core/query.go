@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -34,19 +35,21 @@ type queryScratch struct {
 	cursors []int
 
 	// Drill-down dense per-concept accumulators, indexed by node ID and
-	// validity-stamped so they never need clearing between queries.
-	stamp   []uint32
-	gen     uint32
+	// validity-stamped (covMark, on the embedded stamp array) so they
+	// never need clearing between queries; row is the walk step's
+	// reusable document buffer.
+	divScratch
+	covMark uint32
 	cov     []float64
 	cnt     []int32
 	pr      []int32
 	head    []int32
 	touched []kg.NodeID
 
-	// mdDoc/mdNext form the shared matched-document pair log: head[c]
-	// chains concept c's entries (most recent first) through mdNext.
-	mdDoc  []int32
-	mdNext []int32
+	// pairs is the shared matched-document pair log: head[c] chains
+	// concept c's entries (most recent first) through next.
+	pairs []pairLink
+	row   DrillDownRow
 
 	cand      []candScore
 	shortVals []kg.NodeID
@@ -54,6 +57,10 @@ type queryScratch struct {
 	subColl   *topk.Collector[int32]
 	subItems  []topk.Item[int32]
 }
+
+// pairLink is one pair-log entry: a matched document of some concept
+// and the index of that concept's previous entry (-1 ends the chain).
+type pairLink struct{ doc, next int32 }
 
 // candScore pairs a candidate subtopic with its cheap (pre-diversity)
 // score for shortlist selection.
@@ -127,36 +134,28 @@ func selectTopCand(s []candScore, k int) {
 
 func newQueryScratch(numNodes int) *queryScratch {
 	return &queryScratch{
-		stamp: make([]uint32, numNodes),
-		cov:   make([]float64, numNodes),
-		cnt:   make([]int32, numNodes),
-		pr:    make([]int32, numNodes),
-		head:  make([]int32, numNodes),
+		divScratch: newDivScratch(numNodes),
+		cov:        make([]float64, numNodes),
+		cnt:        make([]int32, numNodes),
+		pr:         make([]int32, numNodes),
+		head:       make([]int32, numNodes),
 	}
 }
 
-// marks reserves two fresh stamp values (wrap-safe): stale entries are
-// always strictly below both, so the arrays act as cleared without a
-// clearing pass.
-func (sc *queryScratch) marks() (uint32, uint32) {
-	if sc.gen >= math.MaxUint32-2 {
-		for i := range sc.stamp {
-			sc.stamp[i] = 0
-		}
-		sc.gen = 0
-	}
-	sc.gen += 2
-	return sc.gen - 1, sc.gen
-}
-
-// divScratch is the pooled per-worker diversity workspace: one dense
-// stamp array used both as the direct-extent membership set and as the
-// union deduplicator.
+// divScratch is one dense stamp array: the pooled per-worker diversity
+// workspace, used both as the direct-extent membership set and as the
+// union deduplicator, and — embedded in queryScratch — the drill-down
+// accumulators' validity stamps.
 type divScratch struct {
 	stamp []uint32
 	gen   uint32
 }
 
+func newDivScratch(numNodes int) divScratch { return divScratch{stamp: make([]uint32, numNodes)} }
+
+// marks reserves two fresh stamp values (wrap-safe): stale entries are
+// always strictly below both, so the array acts as cleared without a
+// clearing pass.
 func (ds *divScratch) marks() (uint32, uint32) {
 	if ds.gen >= math.MaxUint32-2 {
 		for i := range ds.stamp {
@@ -257,31 +256,17 @@ func intersectSorted(a, b []int32) []int32 {
 	return out
 }
 
-// cdr returns the cached or freshly computed cdr(c, d) with its pivot
-// at this generation. For matching pairs the value lives in the
-// concept's plan — the same score and pivot the old pre-seeded memo
-// held, read directly so the swap path no longer pays to copy every
-// planned pair into a map. The memoised compute path remains for
-// non-matching pairs (delta evaluation probes arbitrary keys). The
-// expensive connectivity factor comes from the engine-wide memo,
-// seeded by (concept, doc) so values are independent of query order
-// AND of which goroutine computes them — the determinism anchor of the
-// lock-free query path.
+// cdr returns cdr(c, d) with its pivot at this generation, read from
+// the concept's plan. The plan holds every document matching c; any
+// other document holds no entity of c's extent, so its ontology factor
+// — and with it cdr — is zero with no pivot, exactly what scoring it
+// would yield.
 func (st *genState) cdr(c kg.NodeID, doc int32) cdrEntry {
 	p := st.plan(c)
 	if idx := p.planIdx(doc); idx >= 0 {
 		return cdrEntry{cdr: p.scores[idx], pivot: p.pivots[idx]}
 	}
-	ent, _ := st.cdrMemo.GetOrCompute(cdrKey(c, doc), func() cdrEntry {
-		s := st.getScorer()
-		defer st.putScorer(s)
-		cdro, pivot := s.OntologyRel(c, doc)
-		if cdro <= 0 {
-			return cdrEntry{cdr: 0, pivot: pivot}
-		}
-		return cdrEntry{cdr: cdro * st.e.contextRel(s, c, doc), pivot: pivot}
-	})
-	return ent
+	return cdrEntry{pivot: kg.InvalidNode}
 }
 
 // MatchedDocs returns all documents matching the concept pattern Q, in
@@ -600,112 +585,170 @@ func (e *Engine) DrillDownComponents(q Query, k int, useSpecificity, useDiversit
 }
 
 // DrillDownPage is DrillDown with pagination, a score floor, the
-// ablation toggles, and cancellation: the parallel diversity loop
-// stops claiming shortlist entries once ctx is cancelled, and the ctx
-// error is returned. With Offset 0 and the zero options the page
-// contents are identical to DrillDown(q, opts.K).
+// ablation toggles, and cancellation: the walk checks ctx every
+// ctxStride documents, the parallel diversity loop stops claiming
+// shortlist entries once ctx is cancelled, and the ctx error is
+// returned. With Offset 0 and the zero options the page contents are
+// identical to DrillDown(q, opts.K).
 //
-// The candidate accumulation runs on the pooled dense scratch
-// (stamp-validated per-node arrays) instead of maps; iteration and
-// accumulation order — documents ascending, then candidates by node
-// ID — is identical to the former map implementation, so scores and
-// tie-breaking are unchanged.
+// It is four steps on the pooled dense scratch, each shared with the
+// distributed path (distq.go), so there is one accumulation order, one
+// shortlist, one score composition and one paging rule:
+//
+//  1. walk (drillWalk): matched documents ascending, inside the time
+//     window, each with its kept candidate concepts minus Q's own;
+//  2. accumulate: per-concept coverage, counts, probe totals and the
+//     pair log, in walk order — the float addition sequence every path
+//     replays;
+//  3. shortlist: the max(128, K) window by cheap score;
+//  4. rank: score, prune with the upper bound, and page, with the
+//     diversity union from a unioner — here the pair log.
+//
+// The router's MergeDrillDown runs steps 2–4 over the shards' walks,
+// so a monolithic drill-down is the one-shard case of the merge.
 func (e *Engine) DrillDownPage(ctx context.Context, q Query, opts DrillDownOptions) (DrillDownPage, error) {
 	st := e.state()
 	empty := DrillDownPage{Generation: st.snap.Generation}
-	useSpecificity, useDiversity := !opts.NoSpecificity, !opts.NoDiversity
-	k := opts.K
-	if k <= 0 || len(q) == 0 || opts.Offset < 0 {
-		return empty, nil
-	}
-	if opts.Time != nil && !opts.Time.overlapsSnapshot(st.snap) {
-		return empty, nil
-	}
-	docs, err := st.matchedDocsCtx(ctx, q)
-	if err != nil {
-		return empty, err
-	}
-	if len(docs) == 0 {
+	if opts.K <= 0 || len(q) == 0 || opts.Offset < 0 {
 		return empty, nil
 	}
 	sc := e.getScratch()
 	defer e.putScratch(sc)
-	covMark, _ := sc.marks()
-	spec := e.g.SpecTable()
-
-	// Coverage from the snapshot's candidate postings: candidates are
-	// the direct Ψ⁻¹ concepts of document entities (plus ancestor
-	// levels), exactly the paper's candidate subtopic set. The same pass
-	// accumulates each candidate's entity probe total (diversity's
-	// strategy pivot and the pruning bound) and chains its matched
-	// documents through a shared pair log (head/next intrusive lists),
-	// so no second documents×candidates walk is ever needed.
-	touched := sc.touched[:0]
-	mdDoc, mdNext := sc.mdDoc[:0], sc.mdNext[:0]
-	for _, d := range docs {
-		if opts.Time != nil && !opts.Time.contains(st.snap.Doc(d).PublishedAt) {
-			continue
-		}
-		ne := int32(len(st.ents[d]))
-		for _, cs := range st.docConcepts(d) {
-			c := cs.Concept
-			if queryHas(q, c) {
-				continue
-			}
-			if sc.stamp[c] != covMark {
-				sc.stamp[c] = covMark
-				sc.cov[c] = 0
-				sc.cnt[c] = 0
-				sc.pr[c] = 0
-				sc.head[c] = -1
-				touched = append(touched, c)
-			}
-			sc.cov[c] += cs.CDR
-			sc.cnt[c]++
-			sc.pr[c] += ne
-			mdDoc = append(mdDoc, d)
-			mdNext = append(mdNext, sc.head[c])
-			sc.head[c] = int32(len(mdDoc) - 1)
-		}
+	sc.begin()
+	if err := st.drillWalk(ctx, q, opts.Time, &sc.row, sc.accumulate); err != nil {
+		return empty, err
 	}
-	sc.touched, sc.mdDoc, sc.mdNext = touched, mdDoc, mdNext
-	if len(touched) == 0 {
+	if len(sc.touched) == 0 {
 		return empty, nil
 	}
+	sc.shortlist(e.g.SpecTable(), opts)
+	ds := e.divPool.Get().(*divScratch)
+	defer e.divPool.Put(ds)
+	page, err := sc.rank(ctx, e, e.g, st, ds, opts)
+	if err != nil {
+		return empty, err
+	}
+	page.Generation = st.snap.Generation
+	return page, nil
+}
 
-	// Shortlist by the cheap components before paying for diversity.
-	// The window is max(128, K), deliberately independent of Offset:
-	// every page of a fixed-K listing re-ranks the *same* shortlist, so
-	// stitched pages can never duplicate or skip a suggestion (a window
-	// that grew with the offset would re-rank a larger candidate set on
-	// deeper pages and shift ranks across the boundary). Pagination
-	// therefore ends at the scored window — Total reports the rankable
-	// count, and the cursor goes -1 there — rather than pretending the
-	// cheap-score tail beyond it is ranked.
-	shortlistSize := 128
-	if k > shortlistSize {
-		shortlistSize = k
+// drillWalk is the walk step: for every matched document of q, in
+// ascending ID order and inside tr when non-nil, it passes fn the
+// document's row — its ID, its entity count and its kept candidate
+// concepts minus q's own with their cdr values, in stored order.
+// Candidates are the direct Ψ⁻¹ concepts of document entities (plus
+// ancestor levels), exactly the paper's candidate subtopic set.
+// Documents left with no candidate are skipped. buf lends its slices
+// as the reusable row buffer: fn must copy what it keeps.
+func (st *genState) drillWalk(ctx context.Context, q Query, tr *TimeRange, buf *DrillDownRow,
+	fn func(doc, numEnts int32, concepts []kg.NodeID, cdrs []float64) error) error {
+	if tr != nil && !tr.overlapsSnapshot(st.snap) {
+		return nil
 	}
-	if shortlistSize > len(touched) {
-		shortlistSize = len(touched)
+	docs, err := st.matchedDocsCtx(ctx, q)
+	if err != nil {
+		return err
 	}
-	// Shortlist selection: quickselect the top window by (cheap score
-	// desc, concept asc) — concept IDs are unique, so the order is total
-	// — then sort only the window. The selected set and its order are
-	// exactly the former bounded heap's deterministic (score,
-	// earliest-push) output, without sorting the full candidate list.
+	concepts, cdrs := buf.Concepts, buf.CDRs
+	for i, d := range docs {
+		if i%ctxStride == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		if tr != nil && !tr.contains(st.snap.Doc(d).PublishedAt) {
+			continue
+		}
+		concepts, cdrs = concepts[:0], cdrs[:0]
+		for _, cs := range st.docConcepts(d) {
+			if !queryHas(q, cs.Concept) {
+				concepts = append(concepts, cs.Concept)
+				cdrs = append(cdrs, cs.CDR)
+			}
+		}
+		if len(concepts) > 0 {
+			if err := fn(d, int32(len(st.ents[d])), concepts, cdrs); err != nil {
+				return err
+			}
+		}
+	}
+	buf.Concepts, buf.CDRs = concepts, cdrs
+	return nil
+}
+
+// begin resets the scratch for one accumulation: a fresh coverage
+// stamp invalidates every per-concept slot, and the touched list and
+// pair log restart empty.
+func (sc *queryScratch) begin() {
+	sc.covMark, _ = sc.marks()
+	sc.touched, sc.pairs = sc.touched[:0], sc.pairs[:0]
+}
+
+// accumulate is the accumulate step: fold one row into the per-concept
+// coverage Σcdr, matched-document count and entity probe total
+// (diversity's strategy pivot and the pruning bound), and chain the
+// row's document into each candidate's pair-log list (head/next
+// intrusive lists), so scoring never re-walks the documents. Rows from
+// a shard are untrusted: one whose slices disagree, whose entity count
+// is negative, or that names a node outside the graph is refused.
+func (sc *queryScratch) accumulate(doc, numEnts int32, concepts []kg.NodeID, cdrs []float64) error {
+	if len(cdrs) != len(concepts) || numEnts < 0 {
+		return fmt.Errorf("document %d has %d concepts, %d cdrs and %d entities",
+			doc, len(concepts), len(cdrs), numEnts)
+	}
+	// A refused row leaves the lists short; the next begin resets them.
+	touched, pairs := sc.touched, sc.pairs
+	for j, c := range concepts {
+		if uint(c) >= uint(len(sc.stamp)) {
+			return fmt.Errorf("document %d names concept %d outside the graph", doc, c)
+		}
+		if sc.stamp[c] != sc.covMark {
+			sc.stamp[c] = sc.covMark
+			sc.cov[c] = 0
+			sc.cnt[c] = 0
+			sc.pr[c] = 0
+			sc.head[c] = -1
+			touched = append(touched, c)
+		}
+		sc.cov[c] += cdrs[j]
+		sc.cnt[c]++
+		sc.pr[c] += numEnts
+		pairs = append(pairs, pairLink{doc: doc, next: sc.head[c]})
+		sc.head[c] = int32(len(pairs) - 1)
+	}
+	sc.touched, sc.pairs = touched, pairs
+	return nil
+}
+
+// shortlist is the shortlist step: it fills sc.shortVals with the
+// touched concepts ranked by the cheap components, before anyone pays
+// for diversity. The window is max(128, K), deliberately independent
+// of Offset: every page of a fixed-K listing re-ranks the *same*
+// shortlist, so stitched pages can never duplicate or skip a
+// suggestion (a window that grew with the offset would re-rank a
+// larger candidate set on deeper pages and shift ranks across the
+// boundary). Pagination therefore ends at the scored window — Total
+// reports the rankable count, and the cursor goes -1 there — rather
+// than pretending the cheap-score tail beyond it is ranked.
+//
+// Selection quickselects the top window by (cheap score desc, concept
+// asc) — concept IDs are unique, so the order is total — then sorts
+// only the window: the selected set and its order do not depend on
+// the order concepts were first touched in.
+func (sc *queryScratch) shortlist(spec []float64, opts DrillDownOptions) {
+	size := min(max(128, opts.K), len(sc.touched))
 	cand := sc.cand[:0]
-	for _, c := range touched {
+	for _, c := range sc.touched {
 		s := sc.cov[c]
-		if useSpecificity {
+		if !opts.NoSpecificity {
 			s *= spec[c]
 		}
 		cand = append(cand, candScore{c: c, s: s})
 	}
 	sc.cand = cand
-	if len(cand) > shortlistSize {
-		selectTopCand(cand, shortlistSize)
-		cand = cand[:shortlistSize]
+	if len(cand) > size {
+		selectTopCand(cand, size)
+		cand = cand[:size]
 	}
 	slices.SortFunc(cand, cmpCandScore)
 	short := sc.shortVals[:0]
@@ -713,13 +756,99 @@ func (e *Engine) DrillDownPage(ctx context.Context, q Query, opts DrillDownOptio
 		short = append(short, cs.c)
 	}
 	sc.shortVals = short
+}
 
-	// Score the shortlist: each concept's diversity computation is
-	// independent (reads only the immutable snapshot and the pair log),
-	// and results land in a per-index slot, so the final Push order —
-	// and with it tie-breaking — is identical to a serial loop. The
-	// matched-document chain yields documents in reverse order; the
-	// union cardinality and probe totals it feeds are order-independent.
+// unioner supplies the rank step's diversity numerator for shortlist
+// entry i (concept sc.shortVals[i]): the number of distinct entities
+// of its direct extent Ψ(c) held by the documents that keep c as a
+// candidate. ds is a diversity scratch owned by the calling worker.
+type unioner interface {
+	union(sc *queryScratch, i int, ds *divScratch) int
+}
+
+// union implements unioner over the local pair log.
+func (st *genState) union(sc *queryScratch, i int, ds *divScratch) int {
+	return st.chainUnion(sc, ds, sc.shortVals[i], nil)
+}
+
+// chainUnion walks concept c's pair-log chain and returns
+// |∪_d ME(c, d)| over its documents, ME taken against the *direct*
+// extent Ψ(c), exactly as Definition 2 states; when set is non-nil it
+// also appends each counted entity to it. The direct extent matters:
+// an umbrella concept whose members are only inherited from
+// descendants contributes no direct matches and scores zero
+// diversity, while a concept matching through one popular entity is
+// pushed down — the fairness bias the paper designed this factor to
+// prevent. The chain holds exactly the documents that keep c as a
+// candidate: a document can hold an entity of Ψ(c) without keeping c
+// (the per-document concept cap), and counting it would inflate c's
+// diversity. A concept no document kept has an empty chain.
+//
+// Membership "v ∈ Ψ(c)": Ψ is stored both ways in the graph, so
+// v ∈ Extent(c) ⟺ c ∈ ConceptsOf(v). When the probe count is large
+// enough to amortise it, premark the direct extent in the dense stamp
+// and count the union with O(1) probes; for sparsely-matched concepts
+// with big extents the scan side is cheaper (|ConceptsOf(v)| is
+// typically a handful). Both sides count the identical set; the stamp
+// array doubles as the across-document deduplicator either way.
+func (st *genState) chainUnion(sc *queryScratch, ds *divScratch, c kg.NodeID, set *[]kg.NodeID) int {
+	if sc.stamp[c] != sc.covMark {
+		return 0
+	}
+	g := st.e.g
+	ext := g.Extent(c)
+	seen, counted := ds.marks()
+	union := 0
+	if int(sc.pr[c]) >= len(ext) {
+		for _, v := range ext {
+			ds.stamp[v] = seen
+		}
+		for j := sc.head[c]; j >= 0; j = sc.pairs[j].next {
+			for _, v := range st.ents[sc.pairs[j].doc] {
+				if ds.stamp[v] == seen {
+					ds.stamp[v] = counted
+					union++
+					if set != nil {
+						*set = append(*set, v)
+					}
+				}
+			}
+		}
+		return union
+	}
+	for j := sc.head[c]; j >= 0; j = sc.pairs[j].next {
+		for _, v := range st.ents[sc.pairs[j].doc] {
+			if ds.stamp[v] == seen || ds.stamp[v] == counted {
+				continue
+			}
+			if !containsConcept(g.ConceptsOf(v), c) {
+				ds.stamp[v] = seen
+				continue
+			}
+			ds.stamp[v] = counted
+			union++
+			if set != nil {
+				*set = append(*set, v)
+			}
+		}
+	}
+	return union
+}
+
+// rank is the rank step over the shortlist in sc.shortVals: score each
+// entry by sbr = coverage · specificity · diversity (with the ablation
+// toggles), prune the tail with the upper bound, and page. Each
+// entry's score is independent (it reads only the accumulators and
+// u), and results land in a per-index slot, so the Push order — and
+// with it tie-breaking — is identical however the scoring is spread.
+// e, when non-nil, lends its worker budget and diversity scratch pool
+// to the wide branches (a score floor, or a page of 64 or more);
+// without it (the router's merge) every entry is scored serially with
+// ds, which also serves the serial branches either way.
+func (sc *queryScratch) rank(ctx context.Context, e *Engine, g *kg.Graph, u unioner, ds *divScratch, opts DrillDownOptions) (DrillDownPage, error) {
+	spec := g.SpecTable()
+	useSpecificity, useDiversity := !opts.NoSpecificity, !opts.NoDiversity
+	short := sc.shortVals
 	for len(sc.subs) < len(short) {
 		sc.subs = append(sc.subs, Subtopic{})
 	}
@@ -732,55 +861,9 @@ func (e *Engine) DrillDownPage(ctx context.Context, q Query, opts DrillDownOptio
 			Specificity: spec[c],
 			MatchedDocs: int(sc.cnt[c]),
 		}
-		// diversity(c, Q) = |∪_{d∈D(Q)} ME(c, d)| / |D(Q ∪ {c})| with
-		// ME over the *direct* extent Ψ(c), exactly as Definition 2
-		// states. The direct extent matters: an umbrella concept whose
-		// members are only inherited from descendants contributes no
-		// direct matches and scores zero diversity, while a concept
-		// matching through one popular entity is pushed down — the
-		// fairness bias the paper designed this factor to prevent.
-		//
-		// Membership "v ∈ Ψ(c)": Ψ is stored both ways in the graph, so
-		// v ∈ Extent(c) ⟺ c ∈ ConceptsOf(v). When the probe count is
-		// large enough to amortise it, premark the direct extent in the
-		// pooled dense stamp and count the union with O(1) probes; for
-		// sparsely-matched concepts with big extents the scan side is
-		// cheaper (|ConceptsOf(v)| is typically a handful). Both sides
-		// compute the identical union; the stamp array doubles as the
-		// across-document deduplicator either way.
-		probes := int(sc.pr[c])
-		ext := e.g.Extent(c)
-		seen, counted := ds.marks()
-		union := 0
-		if probes >= len(ext) {
-			for _, v := range ext {
-				ds.stamp[v] = seen
-			}
-			for j := sc.head[c]; j >= 0; j = sc.mdNext[j] {
-				for _, v := range st.ents[sc.mdDoc[j]] {
-					if ds.stamp[v] == seen {
-						ds.stamp[v] = counted
-						union++
-					}
-				}
-			}
-		} else {
-			for j := sc.head[c]; j >= 0; j = sc.mdNext[j] {
-				for _, v := range st.ents[sc.mdDoc[j]] {
-					if ds.stamp[v] == seen || ds.stamp[v] == counted {
-						continue
-					}
-					if containsConcept(e.g.ConceptsOf(v), c) {
-						ds.stamp[v] = counted
-						union++
-					} else {
-						ds.stamp[v] = seen
-					}
-				}
-			}
-		}
+		// diversity(c, Q) = |∪_{d∈D(Q)} ME(c, d)| / |D(Q ∪ {c})|.
 		if n := int(sc.cnt[c]); n > 0 {
-			sub.Diversity = float64(union) / float64(n)
+			sub.Diversity = float64(u.union(sc, i, ds)) / float64(n)
 		}
 		score := sub.Coverage
 		if useSpecificity {
@@ -797,8 +880,19 @@ func (e *Engine) DrillDownPage(ctx context.Context, q Query, opts DrillDownOptio
 		scoreWith(i, ds)
 		e.divPool.Put(ds)
 	}
+	// scoreHead scores entries [0, n): on the engine's workers when
+	// wide, else serially with ds.
+	scoreHead := func(n int, wide bool) error {
+		if wide && e != nil {
+			return e.queryParallelCtx(ctx, n, scoreOne)
+		}
+		for i := 0; i < n; i++ {
+			scoreWith(i, ds)
+		}
+		return nil
+	}
 
-	limit := k + opts.Offset
+	limit := opts.K + opts.Offset
 	if limit < 0 || limit > len(subs) {
 		limit = len(subs)
 	}
@@ -814,9 +908,9 @@ func (e *Engine) DrillDownPage(ctx context.Context, q Query, opts DrillDownOptio
 	var total int
 	if opts.MinScore > 0 {
 		// The floor's Total counts every shortlist entry at or above it,
-		// so all scores are needed: compute the whole window in parallel.
-		if err := e.queryParallelCtx(ctx, len(short), scoreOne); err != nil {
-			return empty, err
+		// so all scores are needed: compute the whole window.
+		if err := scoreHead(len(short), true); err != nil {
+			return DrillDownPage{}, err
 		}
 		for i, sub := range subs {
 			if sub.Score < opts.MinScore {
@@ -827,38 +921,29 @@ func (e *Engine) DrillDownPage(ctx context.Context, q Query, opts DrillDownOptio
 		}
 	} else {
 		// Upper-bound pruning over the shortlist tail: the first `limit`
-		// entries always seed the collector, so score them (in parallel
-		// when the window is worth it) and push in order. Every later
-		// entry first gets a cheap bound — coverage (× specificity) ×
-		// min(|Ψ(c)|, entity probes)/|D| — that dominates its real score
-		// (the diversity union is capped by both the direct extent and
-		// the probe count, and fp multiplication is monotone). A full
-		// collector rejects later pushes at scores equal to its
-		// threshold (ties favour earlier pushes), so entries with bound
-		// ≤ threshold are skipped without computing their diversity
-		// union: the retained set and order are provably unchanged.
+		// entries always seed the collector, so score them and push in
+		// order. Every later entry first gets a cheap bound — coverage
+		// (× specificity) × min(|Ψ(c)|, entity probes)/|D| — that
+		// dominates its real score (the diversity union is capped by
+		// both the direct extent and the probe count, and fp
+		// multiplication is monotone). A full collector rejects later
+		// pushes at scores equal to its threshold (ties favour earlier
+		// pushes), so entries with bound ≤ threshold are skipped without
+		// computing their diversity union: the retained set and order
+		// are provably unchanged.
 		total = len(subs)
-		ds := e.divPool.Get().(*divScratch)
-		if limit >= 64 {
-			if err := e.queryParallelCtx(ctx, limit, scoreOne); err != nil {
-				e.divPool.Put(ds)
-				return empty, err
-			}
-		} else {
-			for i := 0; i < limit; i++ {
-				scoreWith(i, ds)
-			}
+		if err := scoreHead(limit, limit >= 64); err != nil {
+			return DrillDownPage{}, err
 		}
 		for i := 0; i < limit; i++ {
 			coll.Push(int32(i), subs[i].Score)
 		}
-		// The tail walk is strictly serial, so one diversity scratch
-		// serves every surviving entry.
+		// The tail walk is strictly serial, so ds serves every
+		// surviving entry.
 		for i := limit; i < len(short); i++ {
 			if (i-limit)%ctxStride == 0 {
 				if err := ctx.Err(); err != nil {
-					e.divPool.Put(ds)
-					return empty, err
+					return DrillDownPage{}, err
 				}
 			}
 			if th, full := coll.Threshold(); full {
@@ -871,10 +956,7 @@ func (e *Engine) DrillDownPage(ctx context.Context, q Query, opts DrillDownOptio
 					if n := int(sc.cnt[c]); n == 0 {
 						ub = 0
 					} else {
-						bound := len(e.g.Extent(c))
-						if p := int(sc.pr[c]); p < bound {
-							bound = p
-						}
+						bound := min(len(g.Extent(c)), int(sc.pr[c]))
 						ub *= float64(bound) / float64(n)
 					}
 				}
@@ -885,11 +967,10 @@ func (e *Engine) DrillDownPage(ctx context.Context, q Query, opts DrillDownOptio
 			scoreWith(i, ds)
 			coll.Push(int32(i), subs[i].Score)
 		}
-		e.divPool.Put(ds)
 	}
 	sc.subItems = coll.AppendSorted(sc.subItems[:0])
 	items := sc.subItems
-	page := DrillDownPage{Total: total, Generation: st.snap.Generation}
+	page := DrillDownPage{Total: total}
 	if opts.Offset >= len(items) {
 		return page, nil
 	}

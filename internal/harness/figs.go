@@ -132,8 +132,8 @@ func (w *World) Fig5(nQueries int) []Fig5Point {
 		pt := Fig5Point{Concepts: nc, PerMethodSec: map[string]float64{}}
 		for _, s := range w.Searchers {
 			// Cold-cache measurement for the engine: repeated queries
-			// would otherwise be served from the cdr memo and report
-			// lookup time instead of query processing time.
+			// would otherwise be served from warm engine memos and
+			// report lookup time instead of query processing time.
 			if s.Name() == MethodNCExplorer {
 				w.Engine.ResetQueryCaches()
 			}

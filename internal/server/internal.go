@@ -35,6 +35,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -57,8 +58,8 @@ func (s *Server) registerInternal() {
 		s.mux.HandleFunc("GET /internal/stats", s.counted("internal", s.handleShardStats))
 		s.mux.HandleFunc("POST /internal/remote-stats", s.counted("internal", s.handleRemoteStats))
 		s.mux.HandleFunc("POST /internal/query/rollup", s.counted("internal", s.handleInternalRollUp))
-		s.mux.HandleFunc("POST /internal/query/drilldown-partials", s.counted("internal", s.handleInternalDrillDownPartials))
-		s.mux.HandleFunc("POST /internal/query/diversity", s.counted("internal", s.handleInternalDiversity))
+		s.mux.HandleFunc("POST /internal/query/drilldown-partials", s.counted("internal", s.handleInternalDrillDown(false)))
+		s.mux.HandleFunc("POST /internal/query/diversity", s.counted("internal", s.handleInternalDrillDown(true)))
 	}
 }
 
@@ -200,58 +201,47 @@ type internalConceptsRequest struct {
 	Time      *ncexplorer.TimeRange `json:"time_range,omitempty"`
 }
 
-func (s *Server) handleInternalDrillDownPartials(w http.ResponseWriter, r *http.Request) {
-	x, ok := s.internalExplorer(w)
-	if !ok {
-		return
+// handleInternalDrillDown serves one drill-down scatter phase — the
+// rows (phase one) or, when diversity is set, the shortlist's
+// diversity sets (phase two). Both share this decode, concept
+// resolution and time-range path and differ only in the engine call.
+// Input the engine refuses as malformed (a shortlist entry that is not
+// a concept) is a 400.
+func (s *Server) handleInternalDrillDown(diversity bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		x, ok := s.internalExplorer(w)
+		if !ok {
+			return
+		}
+		var req internalConceptsRequest
+		if aerr := decodeV2(w, r, &req); aerr != nil {
+			s.writeAPIError(w, aerr)
+			return
+		}
+		q, err := x.ResolveConcepts(ncexplorer.CanonicalConcepts(req.Concepts))
+		if err != nil {
+			s.writeAPIError(w, apiErrorFrom(err))
+			return
+		}
+		tr, err := ncexplorer.ResolveTimeRange(req.Time)
+		if err != nil {
+			s.writeAPIError(w, apiErrorFrom(err))
+			return
+		}
+		var part any
+		if diversity {
+			part, err = x.Engine().DiversityPartials(r.Context(), q, req.Shortlist, tr)
+		} else {
+			part, err = x.Engine().DrillDownPartials(r.Context(), q, tr)
+		}
+		var bad *core.MalformedError
+		switch {
+		case errors.As(err, &bad):
+			s.writeAPIError(w, invalidArgument("%v", bad))
+		case err != nil:
+			s.writeAPIError(w, apiErrorFrom(ncexplorer.WrapContextErr(err)))
+		default:
+			s.writeJSON(w, http.StatusOK, part)
+		}
 	}
-	var req internalConceptsRequest
-	if aerr := decodeV2(w, r, &req); aerr != nil {
-		s.writeAPIError(w, aerr)
-		return
-	}
-	q, err := x.ResolveConcepts(ncexplorer.CanonicalConcepts(req.Concepts))
-	if err != nil {
-		s.writeAPIError(w, apiErrorFrom(err))
-		return
-	}
-	tr, err := ncexplorer.ResolveTimeRange(req.Time)
-	if err != nil {
-		s.writeAPIError(w, apiErrorFrom(err))
-		return
-	}
-	part, err := x.Engine().DrillDownPartials(r.Context(), q, tr)
-	if err != nil {
-		s.writeAPIError(w, apiErrorFrom(ncexplorer.WrapContextErr(err)))
-		return
-	}
-	s.writeJSON(w, http.StatusOK, part)
-}
-
-func (s *Server) handleInternalDiversity(w http.ResponseWriter, r *http.Request) {
-	x, ok := s.internalExplorer(w)
-	if !ok {
-		return
-	}
-	var req internalConceptsRequest
-	if aerr := decodeV2(w, r, &req); aerr != nil {
-		s.writeAPIError(w, aerr)
-		return
-	}
-	q, err := x.ResolveConcepts(ncexplorer.CanonicalConcepts(req.Concepts))
-	if err != nil {
-		s.writeAPIError(w, apiErrorFrom(err))
-		return
-	}
-	tr, err := ncexplorer.ResolveTimeRange(req.Time)
-	if err != nil {
-		s.writeAPIError(w, apiErrorFrom(err))
-		return
-	}
-	part, err := x.Engine().DiversityPartials(r.Context(), q, req.Shortlist, tr)
-	if err != nil {
-		s.writeAPIError(w, apiErrorFrom(ncexplorer.WrapContextErr(err)))
-		return
-	}
-	s.writeJSON(w, http.StatusOK, part)
 }

@@ -120,12 +120,13 @@ type CacheCounters struct {
 	Entries   int64 `json:"entries"`
 }
 
-// EngineCacheStats reports the engine's query-path memo caches: CDR
-// is the (concept, document) relevance memo (pre-seeded when a
-// snapshot is built, so Entries starts large), Match the
-// concept→matching-documents memo — both scoped to the current index
-// generation — and Conn the generation-independent connectivity memo
-// that makes post-ingest snapshot rebuilds cheap.
+// EngineCacheStats reports the engine's query-path caches: Match the
+// concept→matching-documents plans, scoped to the current index
+// generation, and Conn the generation-independent connectivity memo
+// that makes post-ingest snapshot rebuilds cheap. CDR always reads
+// zero: cdr(c, d) is read straight from the plans, with no memo behind
+// it. The field and its /statsz key stay for readers that still
+// report it.
 type EngineCacheStats struct {
 	CDR   CacheCounters `json:"cdr"`
 	Match CacheCounters `json:"match"`
@@ -324,7 +325,6 @@ func (x *Explorer) Stats() Stats {
 	st.Persist = PersistCounters(x.engine.PersistCounters())
 	cs := x.engine.CacheStats()
 	st.EngineCache = EngineCacheStats{
-		CDR:   CacheCounters(cs.CDR),
 		Match: CacheCounters(cs.Match),
 		Conn:  CacheCounters(cs.Conn),
 	}

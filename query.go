@@ -488,10 +488,19 @@ func (x *Explorer) DrillDownQuery(ctx context.Context, req DrillDownRequest) (Dr
 	if err != nil {
 		return DrillDownResult{}, ctxError(err)
 	}
+	return drillDownResult(x.g, concepts, req, page), nil
+}
+
+// drillDownResult renders an engine drill-down page for the canonical
+// concept list: names through g, the explanation factors only when
+// req.Explain is set. The cluster router renders its merged pages
+// through the same function (QueryWorld.DrillDownResult), so both
+// encode byte-identically.
+func drillDownResult(g *kg.Graph, concepts []string, req DrillDownRequest, page core.DrillDownPage) DrillDownResult {
 	subs := make([]SubtopicSuggestion, 0, len(page.Results))
 	for _, s := range page.Results {
 		sub := SubtopicSuggestion{
-			Concept:     x.g.Name(s.Concept),
+			Concept:     g.Name(s.Concept),
 			Score:       s.Score,
 			MatchedDocs: s.MatchedDocs,
 		}
@@ -510,7 +519,7 @@ func (x *Explorer) DrillDownQuery(ctx context.Context, req DrillDownRequest) (Dr
 		NextOffset:  nextOffset(req.Offset, len(subs), page.Total),
 		Generation:  page.Generation,
 		Suggestions: subs,
-	}, nil
+	}
 }
 
 // article converts one engine result, attaching explanations only when
