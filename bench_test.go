@@ -269,6 +269,7 @@ func BenchmarkServerRollUp(b *testing.B) {
 	}
 	run := func(b *testing.B, s *server.Server) {
 		h := s.Handler()
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			req := httptest.NewRequest(http.MethodPost, "/v2/query/rollup", bytes.NewReader(body))
 			rec := httptest.NewRecorder()

@@ -135,7 +135,9 @@ func (w *QueryWorld) ResolveConcepts(names []string) (core.Query, error) {
 // Explorer.DrillDownQuery renders a local one: concepts is the
 // canonical query, and req supplies K, Offset and Explain.
 func (w *QueryWorld) DrillDownResult(concepts []string, req DrillDownRequest, page core.DrillDownPage) DrillDownResult {
-	return drillDownResult(w.g, concepts, req, page)
+	return drillDownResult(w.g, &DrillDownAnswer{
+		concepts: concepts, k: req.K, offset: req.Offset, explain: req.Explain, page: page,
+	})
 }
 
 // EvaluationTopics returns the Table-I topic names, like

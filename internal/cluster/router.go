@@ -409,17 +409,14 @@ func commonGeneration(gens []uint64, participating []bool) (uint64, bool) {
 	return gen, true
 }
 
-// partialRollUpResult adds the opt-in partial marker. When false the
-// field is omitted, keeping the body byte-identical to the monolithic
-// RollUpResult encoding.
-type partialRollUpResult struct {
-	ncexplorer.RollUpResult
-	Partial bool `json:"partial,omitempty"`
-}
-
-type partialDrillDownResult struct {
-	ncexplorer.DrillDownResult
-	Partial bool `json:"partial,omitempty"`
+// markPartial adds the opt-in partial marker to a rendered result
+// object: {…} becomes {…,"partial":true}. Complete answers carry no
+// marker, keeping the body byte-identical to the monolithic encoding.
+func markPartial(body []byte, partial bool) []byte {
+	if !partial || len(body) == 0 {
+		return body
+	}
+	return append(body[:len(body)-1], `,"partial":true}`...)
 }
 
 // cmpArticle is the roll-up ranking order over rendered articles —
@@ -496,22 +493,19 @@ func (rt *Router) rollUp(ctx context.Context, concepts []string, q queryBody, al
 		}
 		articles := make([]ncexplorer.Article, 0, len(merged))
 		articles = append(articles, merged...)
-		res := partialRollUpResult{
-			RollUpResult: ncexplorer.RollUpResult{
-				Query: concepts, K: q.K, Offset: q.Offset,
-				Total:      total,
-				NextOffset: ncexplorer.NextPageOffset(q.Offset, len(articles), total),
-				Generation: gen,
-				Articles:   articles,
-				// Shard buckets are per-period counts keyed by absolute
-				// period starts, so the merge is associative: sum equal
-				// periods, recompute trends over the merged histogram.
-				Periods: ncexplorer.MergePeriods(q.GroupBy, periodLists),
-			},
-			Partial: partial,
+		res := ncexplorer.RollUpResult{
+			Query: concepts, K: q.K, Offset: q.Offset,
+			Total:      total,
+			NextOffset: ncexplorer.NextPageOffset(q.Offset, len(articles), total),
+			Generation: gen,
+			Articles:   articles,
+			// Shard buckets are per-period counts keyed by absolute
+			// period starts, so the merge is associative: sum equal
+			// periods, recompute trends over the merged histogram.
+			Periods: ncexplorer.MergePeriods(q.GroupBy, periodLists),
 		}
-		body, err := json.Marshal(res)
-		return body, partial, err
+		body, err := ncexplorer.AppendRollUpResult(nil, &res)
+		return markPartial(body, partial), partial, err
 	}
 }
 
@@ -640,13 +634,10 @@ func (rt *Router) drillDown(ctx context.Context, concepts []string, q queryBody,
 		}
 		rt.generation.Store(page.Generation)
 
-		res := partialDrillDownResult{
-			DrillDownResult: rt.World.DrillDownResult(concepts,
-				ncexplorer.DrillDownRequest{K: q.K, Offset: q.Offset, Explain: q.Explain}, page),
-			Partial: partial,
-		}
-		body, err := json.Marshal(res)
-		return body, partial, err
+		res := rt.World.DrillDownResult(concepts,
+			ncexplorer.DrillDownRequest{K: q.K, Offset: q.Offset, Explain: q.Explain}, page)
+		body, err := ncexplorer.AppendDrillDownResult(nil, &res)
+		return markPartial(body, partial), partial, err
 	}
 }
 

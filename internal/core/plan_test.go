@@ -287,36 +287,6 @@ func TestScanPlanPrunedBoundaries(t *testing.T) {
 	}
 }
 
-// TestWarmRollUpPageIntoNoAlloc pins the zero-alloc warm path outside
-// the benchmark suite, for both the pruned single-concept scan and the
-// multi-concept leapfrog.
-func TestWarmRollUpPageIntoNoAlloc(t *testing.T) {
-	_, meta, _, e := world(t)
-	topic := meta.Topics[0]
-	ctx := context.Background()
-	for _, q := range []Query{
-		{topic.Concept},
-		{topic.Concept, topic.GroupConcept},
-	} {
-		var page RollUpPage
-		opts := RollUpOptions{K: 8}
-		if err := e.RollUpPageInto(ctx, q, opts, &page); err != nil {
-			t.Fatal(err)
-		}
-		if len(page.Results) == 0 {
-			t.Fatalf("query %v returned no results", q)
-		}
-		allocs := testing.AllocsPerRun(50, func() {
-			if err := e.RollUpPageInto(ctx, q, opts, &page); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("warm RollUpPageInto(%v) allocates %.1f/op, want 0", q, allocs)
-		}
-	}
-}
-
 // TestDrillDownPruningMatchesFullScore: with K below the shortlist
 // window the diversity loop prunes tail entries by their upper bound;
 // with K equal to the window (same shortlist, same candidate set) every

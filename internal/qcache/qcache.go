@@ -17,8 +17,8 @@
 // Keys are opaque strings; callers are responsible for canonicalizing
 // them — KeyBuilder (key.go) is the one encoding the query layer uses,
 // via ncexplorer.RollUpRequest.Key and DrillDownRequest.Key. Values
-// are opaque too — the HTTP
-// layer stores fully marshaled JSON bodies so cache hits are
+// are opaque too — the HTTP layer stores the facade's compact query
+// answers and renders every response from them, so cache hits are
 // byte-identical to the miss that populated them.
 //
 // All methods are safe for concurrent use. The zero Cache is not

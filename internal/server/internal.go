@@ -34,7 +34,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
 	"os"
@@ -160,7 +159,7 @@ func (s *Server) handleRemoteStats(w http.ResponseWriter, r *http.Request) {
 // handleInternalRollUp executes a shard-local roll-up exactly as
 // requested — no defaulting, no MaxK clamp: the router already
 // clamped at the public edge and asks each shard for its local
-// top-(k+offset) page. Bodies flow through the same result cache as
+// top-(k+offset) page. Answers flow through the same result cache as
 // the public endpoints, so repeated fan-outs of a hot query are
 // byte-identical cache hits.
 func (s *Server) handleInternalRollUp(w http.ResponseWriter, r *http.Request) {
@@ -178,18 +177,16 @@ func (s *Server) handleInternalRollUp(w http.ResponseWriter, r *http.Request) {
 		Sources: q.Sources, MinScore: q.MinScore, Explain: q.Explain,
 		Time: q.Time, GroupBy: q.GroupBy,
 	}
-	v, _, err := s.doCached(r.Context(), "int|"+req.Key(), func() (any, error) {
-		res, err := x.RollUpQuery(r.Context(), req)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(res)
+	v, _, err := s.doCached(r.Context(), x, "int|"+req.Key(), func() (any, error) {
+		return x.AnswerRollUp(r.Context(), req)
 	})
 	if err != nil {
 		s.writeAPIError(w, apiErrorFrom(err))
 		return
 	}
-	s.writeBody(w, http.StatusOK, v.([]byte))
+	s.render(w, http.StatusOK, func(b []byte) ([]byte, error) {
+		return x.AppendRollUp(b, v.(*ncexplorer.RollUpAnswer))
+	})
 }
 
 // internalConceptsRequest names the concepts of a scatter query; the

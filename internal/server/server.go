@@ -38,16 +38,20 @@
 //	                              index.watch the standing-query
 //	                              counters
 //
-// Roll-up and drill-down responses are served through a sharded LRU
+// Roll-up and drill-down answers are served through a sharded LRU
 // cache (internal/qcache) keyed by the typed request's canonical key
-// (RollUpRequest.Key / DrillDownRequest.Key), scoped to the explorer's
-// query epoch: the marshaled JSON body itself is cached, so a hit is
-// byte-identical to the miss that populated it, and concurrent
-// identical queries are coalesced into one engine call. When an ingest
-// (or a cache reset) changes what queries return, the epoch advances
-// and every retained body becomes unreachable by key —
-// generation-tagged invalidation instead of a stop-the-world flush.
-// The X-Cache response header reports HIT or MISS per request.
+// (RollUpRequest.Key / DrillDownRequest.Key), scoped to the explorer
+// that fills it and that explorer's query epoch. The cache holds the facade's compact answer (the engine
+// page plus the canonical request fields), not the response body:
+// every response, hit or miss, is rendered from it by the facade's
+// reflection-free encoder into a pooled buffer and sent in one Write
+// with its Content-Length, so a hit is byte-identical to the miss that
+// populated it. Concurrent identical queries are coalesced into one
+// engine call. When an ingest (or a cache reset) changes what queries
+// return, the epoch advances and every retained answer becomes
+// unreachable by key — generation-tagged invalidation instead of a
+// stop-the-world flush. The X-Cache response header reports HIT or
+// MISS per request.
 //
 // Errors are JSON too. The GET /v1 routes and unknown non-/v2 paths
 // keep the original flat shape {"error": "..."} byte-for-byte; every
@@ -160,10 +164,6 @@ type Server struct {
 	opts     Options
 	started  time.Time
 
-	// swapSeq counts explorer swaps; epochKey folds it in so result-cache
-	// keys from one explorer instance can never collide with another's
-	// (two instances may report equal query epochs).
-	swapSeq atomic.Uint64
 	// syncing holds the replica catch-up state the readiness gate and
 	// /healthz report; nil means serving normally.
 	syncing atomic.Pointer[syncState]
@@ -196,12 +196,10 @@ func (s *Server) explorer() *ncexplorer.Explorer { return s.x.Load() }
 // SetExplorer atomically swaps the serving explorer — how a replica
 // publishes a freshly opened generation while requests are in flight.
 // In-flight requests finish against the explorer they loaded; new
-// requests see the new one. The swap sequence feeds cache keys, so
-// bodies cached against the old instance become unreachable.
-func (s *Server) SetExplorer(x *ncexplorer.Explorer) {
-	s.swapSeq.Add(1)
-	s.x.Store(x)
-}
+// requests see the new one. Cache keys carry the explorer's identity
+// (epochKey), so answers cached against the old instance become
+// unreachable.
+func (s *Server) SetExplorer(x *ncexplorer.Explorer) { s.x.Store(x) }
 
 // SetSyncState publishes a replica's catch-up position. While syncing
 // is true every endpoint answers 503 with a
@@ -404,10 +402,37 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func (s *Server) writeBody(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(body)
-	w.Write([]byte("\n"))
+	s.render(w, status, func(b []byte) ([]byte, error) { return append(b, body...), nil })
+}
+
+// bufPool recycles response buffers; buffers grown past maxPooledBuf
+// (a large batch) are left to the collector instead.
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBuf = 1 << 20
+
+// render is the one response sink: fn appends the JSON body to a
+// pooled buffer, the trailing newline follows, and the whole body goes
+// out in a single Write with an explicit Content-Length (never chunked
+// encoding). A body that fails to encode is answered with the 500
+// envelope instead.
+func (s *Server) render(w http.ResponseWriter, status int, fn func(b []byte) ([]byte, error)) {
+	bp := bufPool.Get().(*[]byte)
+	b, err := fn((*bp)[:0])
+	if err != nil {
+		s.writeAPIError(w, apiErrorFrom(fmt.Errorf("encoding response: %w", err)))
+	} else {
+		b = append(b, '\n')
+		h := w.Header()
+		h.Set("Content-Type", "application/json")
+		h.Set("Content-Length", strconv.Itoa(len(b)))
+		w.WriteHeader(status)
+		w.Write(b)
+	}
+	if cap(b) <= maxPooledBuf {
+		*bp = b[:0]
+		bufPool.Put(bp)
+	}
 }
 
 func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
@@ -420,16 +445,19 @@ func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 // names, so 1 MiB is generous.
 const maxBodyBytes = 1 << 20
 
-// epochKey scopes a result-cache key to the explorer's current query
-// epoch. The epoch advances on every ingested batch and every
+// epochKey scopes a result-cache key to explorer x and its current
+// query epoch. The epoch advances on every ingested batch and every
 // ResetQueryCaches call, so entries cached under an older epoch become
-// unreachable the instant the index changes — stale bodies are never
+// unreachable the instant the index changes — stale answers are never
 // served and nothing is flushed (old entries simply age out of the
 // LRU). This is also what keeps the HTTP cache coherent with the
-// engine's own memo caches: both invalidate off the same event.
-func (s *Server) epochKey(key string) string {
-	return "w" + strconv.FormatUint(s.swapSeq.Load(), 36) +
-		"e" + strconv.FormatUint(s.explorer().QueryEpoch(), 36) + "|" + key
+// engine's own memo caches: both invalidate off the same event. The
+// explorer's instance keeps a replica swap coherent the same way: x is
+// the explorer that fills the entry and renders it, so an answer is
+// never rendered against another generation's documents.
+func epochKey(x *ncexplorer.Explorer, key string) string {
+	return "x" + strconv.FormatUint(x.InstanceID(), 36) +
+		"e" + strconv.FormatUint(x.QueryEpoch(), 36) + "|" + key
 }
 
 func (s *Server) handleConcepts(w http.ResponseWriter, r *http.Request) {

@@ -51,12 +51,29 @@ func sessionError(err error) *apiError {
 	}
 }
 
-// sessionEnvelope wraps a session snapshot, optionally with the query
-// result a navigation call produced. Result is the same bytes the
-// stateless /v2/query endpoint would return for the session's pattern.
+// sessionEnvelope wraps a session snapshot. Navigation calls answer
+// the envelope plus the query result (writeSessionResult).
 type sessionEnvelope struct {
 	Session session.Snapshot `json:"session"`
-	Result  json.RawMessage  `json:"result,omitempty"`
+}
+
+// writeSessionResult answers a navigation call:
+// {"session":…,"result":…}, the result being the same bytes the
+// stateless /v2/query endpoint returns for the session's pattern.
+func (s *Server) writeSessionResult(w http.ResponseWriter, x *ncexplorer.Explorer, snap session.Snapshot, answer any) {
+	s.render(w, http.StatusOK, func(b []byte) ([]byte, error) {
+		sb, err := json.Marshal(snap)
+		if err != nil {
+			return b, err
+		}
+		b = append(b, `{"session":`...)
+		b = append(b, sb...)
+		b = append(b, `,"result":`...)
+		if b, err = appendAnswer(b, x, answer); err != nil {
+			return b, err
+		}
+		return append(b, '}'), nil
+	})
 }
 
 type createSessionRequest struct {
@@ -141,7 +158,8 @@ func (s *Server) handleSessionRollUp(w http.ResponseWriter, r *http.Request) {
 	} else {
 		q.Time = sessionTime(snap.Window)
 	}
-	body, _, aerr := s.execV2(r.Context(), "rollup", q)
+	x := s.explorer()
+	answer, _, aerr := s.execV2(r.Context(), x, "rollup", q)
 	if aerr != nil {
 		s.writeAPIError(w, aerr)
 		return
@@ -158,7 +176,7 @@ func (s *Server) handleSessionRollUp(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.writeJSON(w, http.StatusOK, sessionEnvelope{Session: snap, Result: body})
+	s.writeSessionResult(w, x, snap, answer)
 }
 
 // sessionTime converts a stored zoom window to the query filter it
@@ -215,7 +233,8 @@ func (s *Server) handleSessionDrillDown(w http.ResponseWriter, r *http.Request) 
 	} else {
 		q.Time = sessionTime(snap.Window)
 	}
-	body, _, aerr := s.execV2(r.Context(), "drilldown", q)
+	x := s.explorer()
+	answer, _, aerr := s.execV2(r.Context(), x, "drilldown", q)
 	if aerr != nil {
 		s.writeAPIError(w, aerr)
 		return
@@ -239,7 +258,7 @@ func (s *Server) handleSessionDrillDown(w http.ResponseWriter, r *http.Request) 
 			return
 		}
 	}
-	s.writeJSON(w, http.StatusOK, sessionEnvelope{Session: snap, Result: body})
+	s.writeSessionResult(w, x, snap, answer)
 }
 
 // sessionZoomRequest is the /zoom body: a time window to apply, or an

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 
 	"ncexplorer"
@@ -188,9 +189,10 @@ func decodeV2Limit(w http.ResponseWriter, r *http.Request, v any, limit int64) *
 // still live — the poisoned in-flight call has already completed, and
 // the retry either hits a healthy fill or becomes the filler with a
 // live context. Bounded, since each retry can only lose the race to
-// another dying request.
-func (s *Server) doCached(ctx context.Context, key string, fill func() (any, error)) (any, bool, error) {
-	key = s.epochKey(key)
+// another dying request. The key is scoped to x (epochKey): fill must
+// run on x, and the caller renders the answer with x.
+func (s *Server) doCached(ctx context.Context, x *ncexplorer.Explorer, key string, fill func() (any, error)) (any, bool, error) {
+	key = epochKey(x, key)
 	const maxRetries = 2
 	for attempt := 0; ; attempt++ {
 		v, hit, err := s.cache.Do(key, fill)
@@ -205,30 +207,26 @@ func (s *Server) doCached(ctx context.Context, key string, fill func() (any, err
 }
 
 // execRollUpV2 runs a normalized typed roll-up through the result
-// cache, returning the marshaled body. Batch items and session
-// navigation share this path, so their payloads are byte-identical to
-// the single-call endpoint's.
-func (s *Server) execRollUpV2(ctx context.Context, q v2QueryRequest) ([]byte, bool, *apiError) {
+// cache on x, returning the cached answer (the caller renders it with
+// the same x). Batch items and session navigation share this path, so
+// their payloads are byte-identical to the single-call endpoint's.
+func (s *Server) execRollUpV2(ctx context.Context, x *ncexplorer.Explorer, q v2QueryRequest) (any, bool, *apiError) {
 	req := ncexplorer.RollUpRequest{
 		Concepts: q.Concepts, K: q.K, Offset: q.Offset,
 		Sources: q.Sources, MinScore: q.MinScore,
 		Time: q.Time, GroupBy: q.GroupBy, Explain: q.Explain,
 	}
-	v, hit, err := s.doCached(ctx, req.Key(), func() (any, error) {
-		res, err := s.explorer().RollUpQuery(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(res)
+	v, hit, err := s.doCached(ctx, x, req.Key(), func() (any, error) {
+		return x.AnswerRollUp(ctx, req)
 	})
 	if err != nil {
 		return nil, false, apiErrorFrom(err)
 	}
-	return v.([]byte), hit, nil
+	return v, hit, nil
 }
 
 // execDrillDownV2 is the drill-down analogue of execRollUpV2.
-func (s *Server) execDrillDownV2(ctx context.Context, q v2QueryRequest) ([]byte, bool, *apiError) {
+func (s *Server) execDrillDownV2(ctx context.Context, x *ncexplorer.Explorer, q v2QueryRequest) (any, bool, *apiError) {
 	if len(q.Sources) > 0 {
 		return nil, false, invalidArgument("drilldown does not accept a sources filter")
 	}
@@ -239,30 +237,37 @@ func (s *Server) execDrillDownV2(ctx context.Context, q v2QueryRequest) ([]byte,
 		Concepts: q.Concepts, K: q.K, Offset: q.Offset,
 		MinScore: q.MinScore, Time: q.Time, Explain: q.Explain,
 	}
-	v, hit, err := s.doCached(ctx, req.Key(), func() (any, error) {
-		res, err := s.explorer().DrillDownQuery(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(res)
+	v, hit, err := s.doCached(ctx, x, req.Key(), func() (any, error) {
+		return x.AnswerDrillDown(ctx, req)
 	})
 	if err != nil {
 		return nil, false, apiErrorFrom(err)
 	}
-	return v.([]byte), hit, nil
+	return v, hit, nil
 }
 
-// execV2 dispatches one typed query by operation name.
-func (s *Server) execV2(ctx context.Context, op string, q v2QueryRequest) ([]byte, bool, *apiError) {
+// execV2 dispatches one typed query by operation name. The answer is a
+// *ncexplorer.RollUpAnswer or *ncexplorer.DrillDownAnswer; appendAnswer
+// renders either.
+func (s *Server) execV2(ctx context.Context, x *ncexplorer.Explorer, op string, q v2QueryRequest) (any, bool, *apiError) {
 	s.normalizeV2(&q)
 	switch op {
 	case "rollup":
-		return s.execRollUpV2(ctx, q)
+		return s.execRollUpV2(ctx, x, q)
 	case "drilldown":
-		return s.execDrillDownV2(ctx, q)
+		return s.execDrillDownV2(ctx, x, q)
 	default:
 		return nil, false, invalidArgument("unknown op %q (want \"rollup\" or \"drilldown\")", op)
 	}
+}
+
+// appendAnswer renders a cached answer into b with the explorer
+// serving the request.
+func appendAnswer(b []byte, x *ncexplorer.Explorer, answer any) ([]byte, error) {
+	if a, ok := answer.(*ncexplorer.RollUpAnswer); ok {
+		return x.AppendRollUp(b, a)
+	}
+	return x.AppendDrillDown(b, answer.(*ncexplorer.DrillDownAnswer))
 }
 
 // handleQueryV2 returns the handler for one typed query endpoint.
@@ -273,7 +278,8 @@ func (s *Server) handleQueryV2(op string) http.HandlerFunc {
 			s.writeAPIError(w, aerr)
 			return
 		}
-		body, hit, aerr := s.execV2(r.Context(), op, q)
+		x := s.explorer()
+		answer, hit, aerr := s.execV2(r.Context(), x, op, q)
 		if aerr != nil {
 			s.writeAPIError(w, aerr)
 			return
@@ -283,7 +289,9 @@ func (s *Server) handleQueryV2(op string) http.HandlerFunc {
 		} else {
 			w.Header().Set("X-Cache", "MISS")
 		}
-		s.writeBody(w, http.StatusOK, body)
+		s.render(w, http.StatusOK, func(b []byte) ([]byte, error) {
+			return appendAnswer(b, x, answer)
+		})
 	}
 }
 
@@ -298,15 +306,10 @@ type batchQuery struct {
 	v2QueryRequest
 }
 
-// batchResponse returns one result slot per query, in request order.
-// A slot holds either the op's result object (byte-identical to the
-// single-call endpoint) or an error envelope; one bad query never
-// fails its siblings.
-type batchResponse struct {
-	Count   int               `json:"count"`
-	Results []json.RawMessage `json:"results"`
-}
-
+// handleBatch answers {"count":N,"results":[…]} with one result slot
+// per query, in request order. A slot holds either the op's result
+// object (byte-identical to the single-call endpoint) or an error
+// envelope; one bad query never fails its siblings.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
 	if aerr := decodeV2(w, r, &req); aerr != nil {
@@ -325,9 +328,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Fan out under the engine's worker budget: batch-level parallelism
 	// composes with the engine's own intra-query helpers through the
 	// engine-wide semaphore, so a big batch cannot oversubscribe the
-	// scheduler.
-	results := make([]json.RawMessage, len(req.Queries))
-	sem := make(chan struct{}, s.explorer().Parallelism())
+	// scheduler. Each slot keeps its answer or its error envelope; the
+	// body is rendered once every query is done.
+	x := s.explorer()
+	answers := make([]any, len(req.Queries))
+	failures := make([][]byte, len(req.Queries))
+	sem := make(chan struct{}, x.Parallelism())
 	var wg sync.WaitGroup
 	for i, q := range req.Queries {
 		wg.Add(1)
@@ -335,18 +341,37 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			body, _, aerr := s.execV2(r.Context(), q.Op, q.v2QueryRequest)
+			answer, _, aerr := s.execV2(r.Context(), x, q.Op, q.v2QueryRequest)
 			if aerr != nil {
 				// Count item-level failures like whole-request ones so
 				// /statsz error monitoring sees them.
 				s.errors.Add(1)
-				body = marshalAPIError(aerr)
+				failures[i] = marshalAPIError(aerr)
+				return
 			}
-			results[i] = body
+			answers[i] = answer
 		}(i, q)
 	}
 	wg.Wait()
-	s.writeJSON(w, http.StatusOK, batchResponse{Count: len(results), Results: results})
+	s.render(w, http.StatusOK, func(b []byte) ([]byte, error) {
+		b = append(b, `{"count":`...)
+		b = strconv.AppendInt(b, int64(len(answers)), 10)
+		b = append(b, `,"results":[`...)
+		for i, answer := range answers {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			if answer == nil {
+				b = append(b, failures[i]...)
+				continue
+			}
+			var err error
+			if b, err = appendAnswer(b, x, answer); err != nil {
+				return b, err
+			}
+		}
+		return append(b, ']', '}'), nil
+	})
 }
 
 // methodNotAllowedV2 answers a known /v2 path hit with the wrong

@@ -33,6 +33,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"ncexplorer/internal/core"
 	"ncexplorer/internal/corpus"
@@ -216,6 +217,8 @@ type Explorer struct {
 	// after a restart a window threshold re-arms from empty, which is
 	// the documented at-most-once semantics of window arming.
 	watchWindows map[string][]int64
+	// instance identifies this Explorer value (see InstanceID).
+	instance uint64
 
 	statsOnce sync.Once
 	stats     Stats
@@ -276,7 +279,7 @@ func New(cfg Config) (*Explorer, error) {
 	} else {
 		engine.IndexCorpus(c)
 	}
-	x := &Explorer{g: g, meta: meta, engine: engine, ccfg: ccfg, scale: scale}
+	x := &Explorer{g: g, meta: meta, engine: engine, ccfg: ccfg, scale: scale, instance: instances.Add(1)}
 	x.initWatch(watch.Options{MaxWatchlists: cfg.MaxWatchlists, AlertBuffer: cfg.AlertBuffer})
 	return x, nil
 }
@@ -297,6 +300,16 @@ func (x *Explorer) Generation() uint64 { return x.engine.Generation() }
 // (e.g. the HTTP server's result cache) fold it into their keys so a
 // swap strands stale entries instead of requiring a flush.
 func (x *Explorer) QueryEpoch() uint64 { return x.engine.CacheEpoch() }
+
+// instances numbers the Explorers built or opened in this process.
+var instances atomic.Uint64
+
+// InstanceID identifies this Explorer among every Explorer built or
+// opened in the process, and is never reused. Two Explorers may report
+// equal query epochs, so a response cache shared across explorer swaps
+// keys on (InstanceID, QueryEpoch): an answer is then only ever found
+// again, and rendered, by the Explorer that produced it.
+func (x *Explorer) InstanceID() uint64 { return x.instance }
 
 // Stats reports corpus and graph dimensions plus indexing cost. The
 // graph is immutable after New, so that part of the snapshot is

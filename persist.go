@@ -103,7 +103,7 @@ func Open(dir string, opts OpenOptions) (*Explorer, error) {
 	if err := engine.OpenSnapshot(dir, m); err != nil {
 		return nil, persistError(err)
 	}
-	x := &Explorer{g: g, meta: meta, engine: engine, ccfg: ccfg, scale: scale}
+	x := &Explorer{g: g, meta: meta, engine: engine, ccfg: ccfg, scale: scale, instance: instances.Add(1)}
 	x.initWatch(watch.Options{MaxWatchlists: opts.MaxWatchlists, AlertBuffer: opts.AlertBuffer})
 	if m.WatchFile != "" {
 		data, err := segio.ReadWatchFile(dir, m.WatchFile)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"ncexplorer/internal/core"
@@ -416,6 +417,105 @@ func nextOffset(offset, returned, total int) int {
 	return -1
 }
 
+// RollUpAnswer is a roll-up's outcome before rendering: the engine
+// page plus the canonical concepts, k, offset, explain toggle and
+// period histogram that shape its JSON. It owns every slice it holds —
+// nothing aliases pooled engine scratch or a generation's state — so a
+// response cache can keep it and render it any number of times
+// (Explorer.AppendRollUp), each time byte-identical to json.Marshal of
+// the RollUpResult that RollUpQuery returns for the same request.
+type RollUpAnswer struct {
+	concepts  []string
+	k, offset int
+	explain   bool
+	page      core.RollUpPage
+	periods   []Period
+}
+
+// DrillDownAnswer is DrillDownQuery's outcome before rendering, with
+// RollUpAnswer's ownership contract (Explorer.AppendDrillDown renders
+// it).
+type DrillDownAnswer struct {
+	concepts  []string
+	k, offset int
+	explain   bool
+	page      core.DrillDownPage
+}
+
+// rollUpPages recycles the engine pages AnswerRollUp scans into; the
+// answer keeps an exact-size copy of the results.
+var rollUpPages = sync.Pool{New: func() any { return new(core.RollUpPage) }}
+
+// AnswerRollUp validates the request, resolves its concepts and runs
+// the engine: RollUpQuery without building the result structs. Errors
+// are RollUpQuery's.
+func (x *Explorer) AnswerRollUp(ctx context.Context, req RollUpRequest) (*RollUpAnswer, error) {
+	if err := validatePage(req.K, req.Offset, req.MinScore); err != nil {
+		return nil, err
+	}
+	sources, err := resolveSources(req.Sources)
+	if err != nil {
+		return nil, err
+	}
+	tr, err := resolveTimeRange(req.Time)
+	if err != nil {
+		return nil, err
+	}
+	gb, err := resolveGroupBy(req.GroupBy)
+	if err != nil {
+		return nil, err
+	}
+	concepts := CanonicalConcepts(req.Concepts)
+	q, err := x.resolveConcepts(concepts)
+	if err != nil {
+		return nil, err
+	}
+	page := rollUpPages.Get().(*core.RollUpPage)
+	defer rollUpPages.Put(page)
+	if err := x.engine.RollUpPageInto(ctx, q, core.RollUpOptions{
+		K: req.K, Offset: req.Offset, Sources: sources, MinScore: req.MinScore,
+		Time: tr, GroupBy: gb,
+	}, page); err != nil {
+		return nil, ctxError(err)
+	}
+	return &RollUpAnswer{
+		concepts: concepts, k: req.K, offset: req.Offset, explain: req.Explain,
+		page: core.RollUpPage{
+			Results:    ownResults(page.Results, req.Explain),
+			Total:      page.Total,
+			Generation: page.Generation,
+		},
+		periods: buildPeriods(gb, page.Periods),
+	}, nil
+}
+
+// ownResults copies a pooled page's results into exact-size storage,
+// all contributions in one backing array — or none when the answer
+// renders no explanations.
+func ownResults(src []core.DocResult, explain bool) []core.DocResult {
+	if len(src) == 0 {
+		return nil
+	}
+	out := make([]core.DocResult, len(src))
+	var contribs []core.ConceptContribution
+	if explain {
+		n := 0
+		for i := range src {
+			n += len(src[i].Contributors)
+		}
+		contribs = make([]core.ConceptContribution, 0, n)
+	}
+	for i := range src {
+		out[i] = core.DocResult{Doc: src[i].Doc, Score: src[i].Score}
+		if explain {
+			from := len(contribs)
+			contribs = append(contribs, src[i].Contributors...)
+			out[i].Contributors = contribs[from:len(contribs):len(contribs)]
+		}
+	}
+	return out
+}
+
 // RollUpQuery is the typed, context-aware roll-up: pagination via
 // Offset, source and score filters, optional explanations, and
 // cancellation through ctx (a cancelled query returns CodeCancelled /
@@ -423,88 +523,75 @@ func nextOffset(offset, returned, total int) int {
 // pattern is canonicalized before execution, so permutations of one
 // pattern produce identical results.
 func (x *Explorer) RollUpQuery(ctx context.Context, req RollUpRequest) (RollUpResult, error) {
-	if err := validatePage(req.K, req.Offset, req.MinScore); err != nil {
-		return RollUpResult{}, err
-	}
-	sources, err := resolveSources(req.Sources)
+	a, err := x.AnswerRollUp(ctx, req)
 	if err != nil {
 		return RollUpResult{}, err
+	}
+	articles := make([]Article, 0, len(a.page.Results))
+	for _, r := range a.page.Results {
+		articles = append(articles, x.article(r, a.explain))
+	}
+	return RollUpResult{
+		Query:      a.concepts,
+		K:          a.k,
+		Offset:     a.offset,
+		Total:      a.page.Total,
+		NextOffset: nextOffset(a.offset, len(articles), a.page.Total),
+		Generation: a.page.Generation,
+		Articles:   articles,
+		Periods:    a.periods,
+	}, nil
+}
+
+// AnswerDrillDown validates the request, resolves its concepts and
+// runs the engine: DrillDownQuery without building the result structs.
+func (x *Explorer) AnswerDrillDown(ctx context.Context, req DrillDownRequest) (*DrillDownAnswer, error) {
+	if err := validatePage(req.K, req.Offset, req.MinScore); err != nil {
+		return nil, err
 	}
 	tr, err := resolveTimeRange(req.Time)
 	if err != nil {
-		return RollUpResult{}, err
-	}
-	gb, err := resolveGroupBy(req.GroupBy)
-	if err != nil {
-		return RollUpResult{}, err
+		return nil, err
 	}
 	concepts := CanonicalConcepts(req.Concepts)
 	q, err := x.resolveConcepts(concepts)
 	if err != nil {
-		return RollUpResult{}, err
+		return nil, err
 	}
-	page, err := x.engine.RollUpPage(ctx, q, core.RollUpOptions{
-		K: req.K, Offset: req.Offset, Sources: sources, MinScore: req.MinScore,
-		Time: tr, GroupBy: gb,
+	page, err := x.engine.DrillDownPage(ctx, q, core.DrillDownOptions{
+		K: req.K, Offset: req.Offset, MinScore: req.MinScore, Time: tr,
 	})
 	if err != nil {
-		return RollUpResult{}, ctxError(err)
+		return nil, ctxError(err)
 	}
-	articles := make([]Article, 0, len(page.Results))
-	for _, r := range page.Results {
-		articles = append(articles, x.article(r, req.Explain))
-	}
-	return RollUpResult{
-		Query:      concepts,
-		K:          req.K,
-		Offset:     req.Offset,
-		Total:      page.Total,
-		NextOffset: nextOffset(req.Offset, len(articles), page.Total),
-		Generation: page.Generation,
-		Articles:   articles,
-		Periods:    buildPeriods(gb, page.Periods),
-	}, nil
+	return &DrillDownAnswer{concepts: concepts, k: req.K, offset: req.Offset, explain: req.Explain, page: page}, nil
 }
 
 // DrillDownQuery is the typed, context-aware drill-down — the
 // suggestion side of RollUpQuery with the same pagination and
 // cancellation contract.
 func (x *Explorer) DrillDownQuery(ctx context.Context, req DrillDownRequest) (DrillDownResult, error) {
-	if err := validatePage(req.K, req.Offset, req.MinScore); err != nil {
-		return DrillDownResult{}, err
-	}
-	tr, err := resolveTimeRange(req.Time)
+	a, err := x.AnswerDrillDown(ctx, req)
 	if err != nil {
 		return DrillDownResult{}, err
 	}
-	concepts := CanonicalConcepts(req.Concepts)
-	q, err := x.resolveConcepts(concepts)
-	if err != nil {
-		return DrillDownResult{}, err
-	}
-	page, err := x.engine.DrillDownPage(ctx, q, core.DrillDownOptions{
-		K: req.K, Offset: req.Offset, MinScore: req.MinScore, Time: tr,
-	})
-	if err != nil {
-		return DrillDownResult{}, ctxError(err)
-	}
-	return drillDownResult(x.g, concepts, req, page), nil
+	return drillDownResult(x.g, a), nil
 }
 
-// drillDownResult renders an engine drill-down page for the canonical
-// concept list: names through g, the explanation factors only when
-// req.Explain is set. The cluster router renders its merged pages
-// through the same function (QueryWorld.DrillDownResult), so both
-// encode byte-identically.
-func drillDownResult(g *kg.Graph, concepts []string, req DrillDownRequest, page core.DrillDownPage) DrillDownResult {
-	subs := make([]SubtopicSuggestion, 0, len(page.Results))
-	for _, s := range page.Results {
+// drillDownResult converts a drill-down answer with names through g,
+// the explanation factors only when the answer's request asked for
+// them. The cluster router converts its merged pages through the same
+// function (QueryWorld.DrillDownResult), so both encode
+// byte-identically.
+func drillDownResult(g *kg.Graph, a *DrillDownAnswer) DrillDownResult {
+	subs := make([]SubtopicSuggestion, 0, len(a.page.Results))
+	for _, s := range a.page.Results {
 		sub := SubtopicSuggestion{
 			Concept:     g.Name(s.Concept),
 			Score:       s.Score,
 			MatchedDocs: s.MatchedDocs,
 		}
-		if req.Explain {
+		if a.explain {
 			sub.Coverage = s.Coverage
 			sub.Specificity = s.Specificity
 			sub.Diversity = s.Diversity
@@ -512,12 +599,12 @@ func drillDownResult(g *kg.Graph, concepts []string, req DrillDownRequest, page 
 		subs = append(subs, sub)
 	}
 	return DrillDownResult{
-		Query:       concepts,
-		K:           req.K,
-		Offset:      req.Offset,
-		Total:       page.Total,
-		NextOffset:  nextOffset(req.Offset, len(subs), page.Total),
-		Generation:  page.Generation,
+		Query:       a.concepts,
+		K:           a.k,
+		Offset:      a.offset,
+		Total:       a.page.Total,
+		NextOffset:  nextOffset(a.offset, len(subs), a.page.Total),
+		Generation:  a.page.Generation,
 		Suggestions: subs,
 	}
 }
@@ -534,17 +621,15 @@ func (x *Explorer) article(r core.DocResult, explain bool) Article {
 		Title:       d.Title,
 		Body:        d.Body,
 		Score:       r.Score,
-		PublishedAt: time.Unix(d.PublishedAt, 0).UTC().Format(time.RFC3339),
+		PublishedAt: publishedAt(d.PublishedAt),
 	}
 	if !explain {
 		return art
 	}
 	for _, cc := range r.Contributors {
-		expl := Explanation{Concept: x.g.Name(cc.Concept), CDR: cc.CDR}
-		if cc.Pivot >= 0 {
-			expl.Pivot = x.g.Name(cc.Pivot)
-		}
-		art.Explanations = append(art.Explanations, expl)
+		art.Explanations = append(art.Explanations, Explanation{
+			Concept: x.g.Name(cc.Concept), CDR: cc.CDR, Pivot: pivotName(x.g, cc.Pivot),
+		})
 	}
 	return art
 }
